@@ -19,7 +19,7 @@ print("=" * 70)
 
 net = dhn.DhnNetwork(weights=[[0.0, -1.0], [-1.0, 0.0]], bias=np.zeros((2, 2)))
 x0 = np.array([[1.0, 0.0], [1.0, 0.0]])  # both neurons carry label 0
-print("weights:\n", net.weights_dense())
+print("weights:\n", net.weights.toarray())
 print("start state (rows are one-hot labels):\n", x0)
 
 print("\nSerial sweep, neuron by neuron:")

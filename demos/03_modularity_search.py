@@ -17,8 +17,8 @@ print("1. The modularity matrix of a single edge")
 print("=" * 70)
 edge = dhn.WeightedGraph([[0.0, 1.0], [1.0, 0.0]])
 mm = dhn.modularity_matrix(edge)
-print("Q:\n", mm.q)
-print("row sums (always zero):", mm.q.sum(axis=1))
+print("Q:\n", mm.q.toarray())
+print("row sums (always zero):", mm.q @ np.ones(edge.n))
 print("merging beats splitting:",
       dhn.modularity_score(edge, dhn.Clustering([0, 0], 1)), ">",
       dhn.modularity_score(edge, dhn.Clustering([0, 1], 2)))
@@ -65,7 +65,7 @@ print("two disjoint edges, sign split:", c.assignment,
       "modularity", dhn.modularity_score(pairs, c))
 
 q = dhn.modularity_matrix(karate).q
-eigs = np.linalg.eigvalsh(q)
+eigs = np.linalg.eigvalsh(q.toarray())
 c = dhn.newman_bisect(karate, seed=0)
 print(f"karate club: spectrum edge values are {eigs[0]:+.4f} and {eigs[-1]:+.4f};")
 print(f"the negative end dominates in magnitude, so the unshifted iteration")

@@ -31,7 +31,7 @@ from .core import (
     DhnNetwork,
     Outcome,
     RunReport,
-    classify,
+    WeightMatrix,
     classify_rows,
     energy,
     energy_delta,
@@ -76,12 +76,12 @@ __all__ = [
     "Outcome",
     "RunConfig",
     "RunReport",
+    "WeightMatrix",
     "WeightedGraph",
     "brute_force_min_dcut",
     "build_extended_graph",
     "build_lms_network",
     "canonical_extension",
-    "classify",
     "classify_rows",
     "clustering_from_matrix",
     "clustering_to_matrix",

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .core import Activation, DhnNetwork
+from .core import Activation, DhnNetwork, canonical_csr, max_asymmetry
 
 __all__ = [
     "Clustering",
@@ -45,17 +45,20 @@ class InstanceTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """A weighted graph on nodes 0..n-1 with symmetric edge weight matrix."""
+    """A weighted graph on nodes 0..n-1 with symmetric edge weight matrix.
 
-    weights: np.ndarray
+    The weights are stored as a canonical CSR matrix (sorted, summed, no
+    stored zeros); dense or sparse input is converted on construction, and
+    non-finite weights are rejected.
+    """
+
+    weights: sp.csr_array
     node_labels: Optional[tuple] = None
 
     def __init__(self, weights, node_labels=None, check_symmetric=True, tol=1e-12):
-        weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
-            raise ValueError("edge weight matrix must be square")
-        if check_symmetric and weights.size:
-            asym = float(np.max(np.abs(weights - weights.T)))
+        weights = canonical_csr(weights)
+        if check_symmetric:
+            asym = max_asymmetry(weights)
             if asym > tol:
                 raise ValueError(f"edge weight matrix is asymmetric: max |W - Wt| = {asym:g}")
         if node_labels is not None:
@@ -154,12 +157,13 @@ def clustering_from_matrix(x: np.ndarray) -> Clustering:
 
 
 def d_cut_value(graph: WeightedGraph, c: Clustering) -> float:
-    """Total weight crossing between distinct clusters, by direct summation."""
+    """Total weight crossing between distinct clusters, summed over the stored entries."""
     if c.n != graph.n:
         raise ValueError(f"clustering covers {c.n} nodes but the graph has {graph.n}")
+    w = graph.weights
     a = np.array(c.assignment, dtype=int)
-    cross = a[:, None] != a[None, :]
-    return float(graph.weights[cross].sum())
+    row_labels = np.repeat(a, np.diff(w.indptr))
+    return float(w.data[row_labels != a[w.indices]].sum())
 
 
 def d_cut_via_trace(graph: WeightedGraph, x: np.ndarray) -> float:
@@ -190,7 +194,7 @@ class ExtendedGraph:
 
     @cached_property
     def assembled(self) -> np.ndarray:
-        return np.block([[self.base.weights, self.bias], [self.bias.T, self.coupling]])
+        return np.block([[self.base.weights.toarray(), self.bias], [self.bias.T, self.coupling]])
 
     def as_graph(self) -> WeightedGraph:
         return WeightedGraph(self.assembled)
@@ -271,7 +275,7 @@ def brute_force_min_dcut(graph: WeightedGraph, d: int) -> tuple:
     if d < 1:
         raise ValueError("cluster count d must be positive")
     _check_enumeration_size(graph.n, d)
-    w = graph.weights
+    w = graph.weights.toarray()
     best_value = np.inf
     best_assignment = None
     for batch in _assignment_chunks(graph.n, d):
@@ -297,7 +301,7 @@ def stable_states_census(net: DhnNetwork) -> frozenset:
         raise ValueError("the census is defined for classification networks")
     n, d = net.n, net.d
     _check_enumeration_size(n, d)
-    w = net.weights.toarray() if sp.issparse(net.weights) else net.weights
+    w = net.weights.toarray()
     stable = []
     rows = np.arange(n)
     for batch in _assignment_chunks(n, d):
@@ -309,23 +313,3 @@ def stable_states_census(net: DhnNetwork) -> frozenset:
         stable.extend(Clustering(a, d) for a in batch[ok])
     return frozenset(stable)
 
-
-def serial_fixed_points(net: DhnNetwork, states: Iterable[Clustering]):
-    """Filter states that every single deterministic serial step leaves unchanged.
-
-    This is the operational fixed-point notion (argmax with lowest-index
-    tie-break); on tie-free instances it coincides with the census.
-    """
-    from .core import serial_step
-
-    out = []
-    for c in states:
-        x = clustering_to_matrix(c)
-        if all(np.array_equal(serial_step(net, x, i), x) for i in range(net.n)):
-            out.append(c)
-    return out
-
-
-def extended_cut_of_state(ext: ExtendedGraph, x: np.ndarray) -> float:
-    """d-cut of the canonical extension of X inside the extended graph."""
-    return d_cut_via_trace(ext.as_graph(), canonical_extension(x))

@@ -4,6 +4,8 @@ A network couples n neurons through an n x n weight matrix W and an n x d bias
 matrix B.  Each neuron carries a d-dimensional state row; the state of the whole
 network is an n x d matrix X.  A serial update recomputes one row of X from the
 pre-activation H = W X + B, a parallel update recomputes all rows at once.
+W is held as a sparse matrix plus a symmetric rank-one term (zero for plain
+graphs), which covers graphs and their modularity matrices in O(nnz + n) memory.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,11 +22,10 @@ import scipy.sparse as sp
 __all__ = [
     "Activation",
     "ConvergenceCriterion",
-    "DENSE_WEIGHT_LIMIT",
     "DhnNetwork",
     "Outcome",
     "RunReport",
-    "classify",
+    "WeightMatrix",
     "classify_rows",
     "energy",
     "energy_delta",
@@ -36,15 +37,9 @@ __all__ = [
     "stiefel_project",
 ]
 
-# Weight matrices up to this many neurons are stored dense; larger ones are
-# converted to CSR with canonical (sorted, deduplicated) structure.
-DENSE_WEIGHT_LIMIT = 4096
-
 # Rows with l2 norm below this are treated as exactly zero by the row
 # normalizer, so near-underflow rows cannot blow up.
 _ZERO_ROW_NORM = 1e-300
-
-WeightMatrix = Union[np.ndarray, sp.csr_array]
 
 
 class Activation(Enum):
@@ -68,19 +63,16 @@ class Outcome(Enum):
     CYCLE = "cycle"
     BUDGET_EXHAUSTED = "budget_exhausted"
 
-
-def classify(v: Sequence[float]) -> np.ndarray:
-    """One-hot indicator of the argmax coordinate; ties go to the lowest index."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("classify expects a nonempty 1-d vector")
-    out = np.zeros(v.shape[0])
-    out[int(np.argmax(v))] = 1.0
-    return out
+    @staticmethod
+    def of_lag(lag: int) -> "Outcome":
+        """Outcome of a run whose state revisited the one ``lag`` steps back."""
+        if lag == 1:
+            return Outcome.STABLE
+        return Outcome.TWO_CYCLE if lag == 2 else Outcome.CYCLE
 
 
 def classify_rows(m: np.ndarray) -> np.ndarray:
-    """Apply :func:`classify` to every row of an n x d matrix."""
+    """One-hot indicator of each row's argmax coordinate; ties go to the lowest index."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[1] == 0:
         raise ValueError("classify_rows expects an n x d matrix with d >= 1")
@@ -125,27 +117,100 @@ def stiefel_project(m: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
-def _as_weight_matrix(weights) -> WeightMatrix:
-    if sp.issparse(weights):
-        w = sp.csr_array(weights)
-        w.sum_duplicates()
-        w.sort_indices()
-        return w
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+def canonical_csr(matrix) -> sp.csr_array:
+    """Square float CSR form of a dense or sparse matrix: sorted, summed, no stored zeros.
+
+    Rejects non-square and non-finite input.  Canonical sparse input is reused, not copied.
+    """
+    m = sp.csr_array(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("weights must be a square matrix")
-    if w.shape[0] > DENSE_WEIGHT_LIMIT:
-        return _as_weight_matrix(sp.csr_array(w))
-    return w
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    if not np.all(np.isfinite(m.data)):
+        raise ValueError("weights must be finite (found nan or inf)")
+    return m
+
+
+def max_asymmetry(m: sp.csr_array) -> float:
+    """max |M - Mt| over the entries of a sparse matrix."""
+    diff = abs(m - m.T)
+    return float(diff.max()) if diff.nnz else 0.0
+
+
+@dataclass(frozen=True)
+class WeightMatrix:
+    """n x n weights W = S + coef u ut: a canonical CSR matrix S plus a rank-one term.
+
+    Dense or sparse input becomes S, with a zero rank-one term.  The rank-one
+    term holds dense matrices such as the modularity matrix of a sparse graph
+    in O(nnz + n) memory and applies them in O(nnz d + n d).  It is always
+    evaluated as u_i * (coef * v), so products, diagonal() and toarray() round
+    alike and zero_diagonal() leaves diagonal entries of exactly 0.
+    """
+
+    sparse: sp.csr_array
+    vector: Optional[np.ndarray] = None
+    coef: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "sparse", canonical_csr(self.sparse))
+        u = np.zeros(self.n) if self.vector is None else np.asarray(self.vector, dtype=float)
+        object.__setattr__(self, "vector", u.reshape(self.n))
+
+    @property
+    def n(self) -> int:
+        return self.sparse.shape[0]
+
+    @property
+    def size(self) -> int:
+        """Stored entries: the CSR nonzeros plus the rank-one vector."""
+        return self.sparse.nnz + self.n
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the CSR arrays and the rank-one vector."""
+        s = self.sparse
+        return s.data.nbytes + s.indices.nbytes + s.indptr.nbytes + self.vector.nbytes
+
+    def __matmul__(self, x):
+        """W x for a length-n vector or an n x d matrix."""
+        x = np.asarray(x, dtype=float)
+        u = self.vector
+        return self.sparse @ x + np.multiply.outer(u, self.coef * (u @ x))
+
+    def row(self, x: np.ndarray, i: int) -> np.ndarray:
+        """Row i of W X for an n x d matrix X, without forming the other rows."""
+        s, u = self.sparse, self.vector
+        lo, hi = s.indptr[i], s.indptr[i + 1]
+        return s.data[lo:hi] @ x[s.indices[lo:hi]] + u[i] * (self.coef * (u @ x))
+
+    def diagonal(self) -> np.ndarray:
+        return self.sparse.diagonal() + self.vector * (self.coef * self.vector)
+
+    def zero_diagonal(self) -> "WeightMatrix":
+        """The same matrix with every diagonal entry exactly zero."""
+        s = self.sparse - sp.diags_array(self.sparse.diagonal())
+        s = s - sp.diags_array(self.vector * (self.coef * self.vector))
+        return WeightMatrix(s, self.vector, self.coef)
+
+    def max_asymmetry(self) -> float:
+        """max |W - Wt|; the rank-one term is symmetric by construction."""
+        return max_asymmetry(self.sparse)
+
+    def toarray(self) -> np.ndarray:
+        """Dense n x n copy, for exhaustive oracles and reference checks."""
+        return self.sparse.toarray() + np.multiply.outer(self.vector, self.coef * self.vector)
 
 
 @dataclass(frozen=True)
 class DhnNetwork:
     """A d-dimensional Hopfield network with n neurons: (weights, bias, activation).
 
-    ``weights`` is n x n (dense ndarray, or CSR above DENSE_WEIGHT_LIMIT
-    neurons), ``bias`` is n x d.  Instances are treated as immutable; all
-    dynamics functions are pure and safe to share across threads.
+    ``weights`` is n x n, given as a WeightMatrix or as any dense or sparse
+    matrix (converted to one); ``bias`` is n x d.  Instances are treated as
+    immutable; all dynamics functions are pure and safe to share across
+    threads.
     """
 
     weights: WeightMatrix
@@ -153,30 +218,24 @@ class DhnNetwork:
     activation: Activation = Activation.CLASSIFICATION
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _as_weight_matrix(self.weights))
+        if not isinstance(self.weights, WeightMatrix):
+            object.__setattr__(self, "weights", WeightMatrix(self.weights))
         bias = np.asarray(self.bias, dtype=float)
         if bias.ndim != 2:
             raise ValueError("bias must be an n x d matrix")
         object.__setattr__(self, "bias", bias)
-        if self.weights.shape[0] != bias.shape[0]:
-            raise ValueError(
-                f"weights are {self.weights.shape[0]}x{self.weights.shape[1]} "
-                f"but bias has {bias.shape[0]} rows"
-            )
+        if self.weights.n != bias.shape[0]:
+            raise ValueError(f"weights are {self.n}x{self.n} but bias has {bias.shape[0]} rows")
         if not isinstance(self.activation, Activation):
             raise TypeError("activation must be an Activation member")
 
     @property
     def n(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.n
 
     @property
     def d(self) -> int:
         return self.bias.shape[1]
-
-    def weights_dense(self) -> np.ndarray:
-        w = self.weights
-        return w.toarray() if sp.issparse(w) else w
 
     def validate_energy_hypotheses(self, tol: float = 1e-12) -> None:
         """Check the hypotheses behind the serial-convergence guarantee.
@@ -185,16 +244,10 @@ class DhnNetwork:
         diagonal.  Raises ValueError otherwise.  Runs on networks failing this
         check carry no convergence guarantee and may only stop on budget.
         """
-        w = self.weights
-        if sp.issparse(w):
-            asym = abs(w - w.T)
-            max_asym = asym.max() if asym.nnz else 0.0
-        else:
-            max_asym = float(np.max(np.abs(w - w.T))) if self.n else 0.0
+        max_asym = self.weights.max_asymmetry()
         if max_asym > tol:
             raise ValueError(f"weights are asymmetric: max |W - Wt| = {max_asym:g}")
-        diag = w.diagonal()
-        if np.any(diag < 0):
+        if np.any(self.weights.diagonal() < 0):
             raise ValueError("weights have a negative diagonal entry")
 
 
@@ -254,23 +307,7 @@ def preactivation(net: DhnNetwork, x: np.ndarray) -> np.ndarray:
 
 
 def _row_preactivation(net: DhnNetwork, x: np.ndarray, i: int) -> np.ndarray:
-    w = net.weights
-    if sp.issparse(w):
-        row = (w[[i], :] @ x).ravel()
-    else:
-        row = w[i] @ x
-    return row + net.bias[i]
-
-
-def _apply_rowwise(activation: Activation, v: np.ndarray) -> np.ndarray:
-    if activation is Activation.CLASSIFICATION:
-        return classify(v)
-    if activation is Activation.L2_NORMALIZE:
-        norm = np.linalg.norm(v)
-        return v / norm if norm >= _ZERO_ROW_NORM else np.zeros_like(v)
-    if activation is Activation.IDENTITY:
-        return np.asarray(v, dtype=float)
-    raise ValueError(f"{activation} is a whole-matrix activation; serial mode is undefined for it")
+    return net.weights.row(x, i) + net.bias[i]
 
 
 def _apply_matrix(activation: Activation, m: np.ndarray) -> np.ndarray:
@@ -285,6 +322,15 @@ def _apply_matrix(activation: Activation, m: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {activation!r}")
 
 
+def _serial_row(activation: Activation, h_row: np.ndarray) -> np.ndarray:
+    # a serial step applies the matrix activation to a single 1 x d row
+    if activation is Activation.STIEFEL_PROJECTION:
+        raise ValueError(
+            f"{activation} is a whole-matrix activation; serial mode is undefined for it"
+        )
+    return _apply_matrix(activation, h_row[None, :])[0]
+
+
 def serial_step(net: DhnNetwork, x: np.ndarray, neuron: int) -> np.ndarray:
     """Update one neuron: row ``neuron`` becomes activation(W X + B) for that row.
 
@@ -294,9 +340,8 @@ def serial_step(net: DhnNetwork, x: np.ndarray, neuron: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not 0 <= neuron < net.n:
         raise IndexError(f"neuron index {neuron} out of range for n={net.n}")
-    h = _row_preactivation(net, x, neuron)
     out = x.copy()
-    out[neuron] = _apply_rowwise(net.activation, h)
+    out[neuron] = _serial_row(net.activation, _row_preactivation(net, x, neuron))
     return out
 
 
@@ -375,7 +420,7 @@ def run_serial(
         changed = False
         for i in order:
             h = _row_preactivation(net, x, i)
-            new_row = _apply_rowwise(net.activation, h)
+            new_row = _serial_row(net.activation, h)
             if not np.array_equal(new_row, x[i]):
                 if trace is not None:
                     trace.append(trace[-1] + _row_update_energy_delta(h, x[i], new_row, w_diag[i]))
@@ -386,6 +431,22 @@ def run_serial(
         if not changed:
             return RunReport(x, sweep, Outcome.STABLE, 1, trace, seed)
     return RunReport(x, crit.max_iters, Outcome.BUDGET_EXHAUSTED, None, trace, seed)
+
+
+def revisit_lag(
+    history: deque, state: np.ndarray, epsilon: float, exact: bool = False
+) -> Optional[int]:
+    """Lag (1 = newest) of the remembered state that ``state`` revisits, or None.
+
+    States match exactly when ``exact``, otherwise when their Frobenius
+    distance is below ``epsilon``.  A state that revisits nothing is appended
+    to ``history`` (a deque whose maxlen is the criterion's window).
+    """
+    for lag, prev in enumerate(reversed(history), start=1):
+        if np.array_equal(state, prev) if exact else np.linalg.norm(state - prev) < epsilon:
+            return lag
+    history.append(state)
+    return None
 
 
 def _direction(x: np.ndarray) -> np.ndarray:
@@ -426,19 +487,7 @@ def run_parallel(
         x = parallel_step(net, x)
         if trace is not None:
             trace.append(energy(net, x))
-        cmp = comparable(x)
-        for lag, prev in enumerate(reversed(history), start=1):
-            if exact:
-                hit = np.array_equal(cmp, prev)
-            else:
-                hit = np.linalg.norm(cmp - prev) < crit.epsilon
-            if hit:
-                if lag == 1:
-                    outcome = Outcome.STABLE
-                elif lag == 2:
-                    outcome = Outcome.TWO_CYCLE
-                else:
-                    outcome = Outcome.CYCLE
-                return RunReport(x, step, outcome, lag, trace)
-        history.append(cmp)
+        lag = revisit_lag(history, comparable(x), crit.epsilon, exact)
+        if lag is not None:
+            return RunReport(x, step, Outcome.of_lag(lag), lag, trace)
     return RunReport(x, crit.max_iters, Outcome.BUDGET_EXHAUSTED, None, trace)

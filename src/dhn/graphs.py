@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .clustering import WeightedGraph
 
@@ -46,12 +47,12 @@ KARATE_NODE_ORDER = (
 )
 
 
-def _from_edges(n: int, edges, weight: float = 1.0) -> WeightedGraph:
-    w = np.zeros((n, n))
-    for u, v in edges:
-        w[u, v] += weight
-        w[v, u] += weight
-    return WeightedGraph(w)
+def _from_edges(n: int, edges, weight: float = 1.0, node_labels=None) -> WeightedGraph:
+    """Graph whose every listed edge adds ``weight`` in both directions."""
+    u, v = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    w = sp.coo_array((np.full(rows.size, float(weight)), (rows, cols)), shape=(n, n))
+    return WeightedGraph(w, node_labels=node_labels)
 
 
 def karate_club() -> WeightedGraph:
@@ -62,11 +63,7 @@ def karate_club() -> WeightedGraph:
     """
     position = {member: i for i, member in enumerate(KARATE_NODE_ORDER)}
     edges = [(position[u], position[v]) for u, v in KARATE_CLUB_EDGES]
-    w = np.zeros((34, 34))
-    for u, v in edges:
-        w[u, v] += 1.0
-        w[v, u] += 1.0
-    return WeightedGraph(w, node_labels=[str(m) for m in KARATE_NODE_ORDER])
+    return _from_edges(34, edges, node_labels=[str(m) for m in KARATE_NODE_ORDER])
 
 
 def disjoint_pairs_graph(pairs: int = 2, weight: float = 1.0) -> WeightedGraph:

@@ -10,12 +10,15 @@ stored numbers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .clustering import Clustering, WeightedGraph, d_cut_value
+from .core import canonical_csr, max_asymmetry
 from .modularity import modularity_score
 
 __all__ = [
@@ -70,6 +73,7 @@ def load_edge_list(path, directed_reject: bool = False) -> WeightedGraph:
     records of the same (unordered) pair sum their weights and the matrix is
     symmetrized.  With ``directed_reject`` records are taken as directed
     entries instead and any asymmetry in the resulting matrix is an error.
+    Weights must be finite numbers.
     """
     index: dict = {}
     records = []
@@ -90,24 +94,25 @@ def load_edge_list(path, directed_reject: bool = False) -> WeightedGraph:
                     weight = float(tokens[2])
                 except ValueError:
                     raise EdgeListParseError(f"weight {tokens[2]!r} is not a number", lineno) from None
+                if not math.isfinite(weight):
+                    raise EdgeListParseError(f"weight {tokens[2]!r} is not finite", lineno)
             for label in (u, v):
                 if label not in index:
                     index[label] = len(index)
             records.append((index[u], index[v], weight))
     if not records:
         raise EdgeListParseError("edge list contains no edges", 0)
+    i, j, data = map(np.array, zip(*records))
     n = len(index)
-    w = np.zeros((n, n))
     if directed_reject:
-        for i, j, weight in records:
-            w[i, j] += weight
-        if float(np.max(np.abs(w - w.T))) > 0.0:
+        w = canonical_csr(sp.coo_array((data, (i, j)), shape=(n, n)))
+        if max_asymmetry(w) > 0.0:
             raise ValueError("edge list is not symmetric (running with --directed-reject)")
     else:
-        for i, j, weight in records:
-            w[i, j] += weight
-            if i != j:
-                w[j, i] += weight
+        # sum each unordered pair once, then mirror it, so W is exactly symmetric
+        pairs = (np.minimum(i, j), np.maximum(i, j))
+        upper = canonical_csr(sp.coo_array((data, pairs), shape=(n, n)))
+        w = upper + sp.triu(upper, k=1).T
     return WeightedGraph(w, node_labels=tuple(index))
 
 
@@ -119,11 +124,11 @@ def write_edge_list(graph: WeightedGraph, path) -> None:
     the file reproduces the graph's node order exactly.
     """
     labels = graph.labels()
+    upper = sp.triu(graph.weights).tocoo()  # entries (j, k) with j <= k
+    order = np.lexsort((upper.row, upper.col))
     with open(path, "w") as fh:
-        for k in range(graph.n):
-            for j in range(k + 1):
-                if graph.weights[j, k] != 0.0:
-                    fh.write(f"{labels[j]} {labels[k]} {graph.weights[j, k]:.17g}\n")
+        for j, k, value in zip(upper.row[order], upper.col[order], upper.data[order]):
+            fh.write(f"{labels[j]} {labels[k]} {value:.17g}\n")
 
 
 def score_assignment(graph: WeightedGraph, assignment_by_label: dict) -> dict:
@@ -192,9 +197,10 @@ def result_document(
 
 
 def write_result(document: dict, path) -> None:
+    """Write the document as strict JSON; NaN or infinite values raise ValueError."""
+    text = json.dumps(document, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(document, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_result(path) -> dict:

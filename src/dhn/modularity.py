@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -21,7 +20,9 @@ from .core import (
     Activation,
     ConvergenceCriterion,
     DhnNetwork,
+    WeightMatrix,
     parallel_step,
+    revisit_lag,
     run_parallel,
     run_serial,
 )
@@ -51,37 +52,48 @@ class DegenerateSpectrumError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModularityMatrix:
-    """Q_ij = (W_ij - k_i k_j / Vol) / Vol, plus its zero-diagonal variant."""
+    """Q_ij = (W_ij - k_i k_j / Vol) / Vol.
 
-    q: np.ndarray
+    Held as a WeightMatrix: the sparse W / Vol plus the rank-one term -k kt / Vol^2.
+    """
+
+    q: WeightMatrix
     volume: float
     degrees: np.ndarray
 
-    @cached_property
-    def q_zero_diag(self) -> np.ndarray:
-        out = self.q.copy()
-        np.fill_diagonal(out, 0.0)
-        return out
 
-
-def modularity_matrix(graph: WeightedGraph) -> ModularityMatrix:
-    """Build the modularity matrix; rejects graphs with volume <= 0."""
+def _positive_volume(graph: WeightedGraph) -> float:
     vol = graph.volume
     if vol <= 0:
         raise DegenerateGraphError(f"graph volume is {vol:g}; modularity needs positive volume")
+    return vol
+
+
+def modularity_matrix(graph: WeightedGraph) -> ModularityMatrix:
+    """Build the modularity operator; rejects graphs with volume <= 0."""
+    vol = _positive_volume(graph)
     k = graph.degrees
-    q = (graph.weights - np.outer(k, k) / vol) / vol
+    q = WeightMatrix(graph.weights / vol, k, -1.0 / vol**2)
     return ModularityMatrix(q=q, volume=vol, degrees=k)
 
 
 def modularity_score(graph: WeightedGraph, c: Clustering) -> float:
-    """Sum of Q entries over intra-cluster pairs (diagonal included)."""
+    """Sum of Q entries over intra-cluster pairs (diagonal included).
+
+    Computed from cluster aggregates in O(m + n): sum over clusters of
+    in_c / Vol - (K_c / Vol)^2, with in_c the weight inside cluster c (both
+    directions) and K_c its total degree.
+    """
     if c.n != graph.n:
         raise ValueError(f"clustering covers {c.n} nodes but the graph has {graph.n}")
-    q = modularity_matrix(graph).q
+    vol = _positive_volume(graph)
+    w = graph.weights
     a = np.array(c.assignment, dtype=int)
-    same = a[:, None] == a[None, :]
-    return float(q[same].sum())
+    row_labels = np.repeat(a, np.diff(w.indptr))
+    same = row_labels == a[w.indices]
+    inside = np.bincount(row_labels[same], weights=w.data[same], minlength=c.d)
+    totals = np.bincount(a, weights=graph.degrees, minlength=c.d)
+    return float(np.sum(inside / vol - (totals / vol) ** 2))
 
 
 def build_lms_network(graph: WeightedGraph, d: Optional[int] = None) -> DhnNetwork:
@@ -95,7 +107,7 @@ def build_lms_network(graph: WeightedGraph, d: Optional[int] = None) -> DhnNetwo
     d = graph.n if d is None else int(d)
     if d < 1:
         raise ValueError("state dimension d must be positive")
-    return DhnNetwork(mm.q_zero_diag, np.zeros((graph.n, d)), Activation.CLASSIFICATION)
+    return DhnNetwork(mm.q.zero_diagonal(), np.zeros((graph.n, d)), Activation.CLASSIFICATION)
 
 
 def louvain_update(graph: WeightedGraph, c: Clustering, node: int) -> Clustering:
@@ -106,12 +118,14 @@ def louvain_update(graph: WeightedGraph, c: Clustering, node: int) -> Clustering
     to cluster m changes modularity by an amount monotone in
     sum_{j in c_m} Qz_{node,j} with Qz the zero-diagonal modularity matrix,
     which is what is maximized here.
+
+    A reference for the network's serial step: every call rebuilds the
+    modularity operator and the n x d clustering matrix.
     """
     if not 0 <= node < graph.n:
         raise IndexError(f"node {node} out of range for n={graph.n}")
-    qz = modularity_matrix(graph).q_zero_diag
-    x = clustering_to_matrix(c)
-    scores = qz[node] @ x
+    qz = modularity_matrix(graph).q.zero_diagonal()
+    scores = qz.row(clustering_to_matrix(c), node)
     target = int(np.argmax(scores))
     if target == c.assignment[node]:
         return c
@@ -159,7 +173,7 @@ def run_plms(
 
 
 def power_method(
-    m: np.ndarray,
+    m,
     seed: Optional[int] = None,
     crit: Optional[ConvergenceCriterion] = None,
     v0: Optional[np.ndarray] = None,
@@ -170,14 +184,16 @@ def power_method(
     ``crit.window`` directions within ``crit.epsilon`` (a lag-2 revisit covers
     the sign-alternating case of a negative dominant eigenvalue).  The start
     vector is drawn uniformly from (-1, 1)^n under ``seed`` unless ``v0`` is
-    given.  Exactly zero products raise DegenerateSpectrumError.
+    given.  ``m`` is a WeightMatrix or any dense or sparse matrix.  Exactly
+    zero products raise DegenerateSpectrumError.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+    if not isinstance(m, WeightMatrix):
+        m = WeightMatrix(m)
+    if m.n == 0:
         raise ValueError("power_method expects a nonempty square matrix")
     crit = crit if crit is not None else ConvergenceCriterion()
     if v0 is None:
-        v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=m.shape[0])
+        v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=m.n)
     v = np.asarray(v0, dtype=float)
     norm = np.linalg.norm(v)
     if norm == 0.0:
@@ -190,10 +206,8 @@ def power_method(
         if norm == 0.0:
             raise DegenerateSpectrumError("iteration reached an exactly zero vector")
         v = w / norm
-        for prev in reversed(history):
-            if np.linalg.norm(v - prev) < crit.epsilon:
-                return v
-        history.append(v)
+        if revisit_lag(history, v, crit.epsilon) is not None:
+            return v
     return v
 
 

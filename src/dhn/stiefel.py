@@ -22,8 +22,9 @@ from .core import (
     Outcome,
     RunReport,
     classify_rows,
+    revisit_lag,
     run_parallel,
-    serial_step,
+    run_serial,
     stiefel_project,
 )
 from .modularity import build_lms_network, modularity_matrix
@@ -92,17 +93,10 @@ def run_sgnm(
             h = net.weights @ x  # zero bias
             x[i] = stiefel_project(h)[i]
         x = stiefel_project(x)
-        cmp = direction(x)
-        hit = None
-        for lag, prev in enumerate(reversed(history), start=1):
-            if np.linalg.norm(cmp - prev) < crit.epsilon:
-                hit = lag
-                break
-        if hit is not None:
-            outcome = Outcome.STABLE if hit == 1 else (Outcome.TWO_CYCLE if hit == 2 else Outcome.CYCLE)
-            cycle_length, sweeps = hit, sweep
+        lag = revisit_lag(history, direction(x), crit.epsilon)
+        if lag is not None:
+            outcome, cycle_length, sweeps = Outcome.of_lag(lag), lag, sweep
             break
-        history.append(cmp)
     report = RunReport(x, sweeps, outcome, cycle_length)
     return clustering_from_matrix(classify_rows(x)), report
 
@@ -122,9 +116,13 @@ def run_gnm_plus_lms(
     """
     gnm_clustering, gnm_report = run_gnm(graph, d, seed=seed, crit=crit)
     lms_net = build_lms_network(graph, d)
-    x = clustering_to_matrix(gnm_clustering)
-    for i in range(graph.n):
-        x = serial_step(lms_net, x, i)
+    sweep = run_serial(
+        lms_net,
+        clustering_to_matrix(gnm_clustering),
+        crit=ConvergenceCriterion(max_iters=1),
+        track_energy=False,
+    )
+    x = sweep.final_state
     report = RunReport(
         final_state=x,
         iterations=gnm_report.iterations + 1,

@@ -37,3 +37,22 @@ def random_positive_graph(rng, n, density=0.6):
     if w.sum() == 0.0:  # guarantee at least one edge
         w[0, 1] = w[1, 0] = 1.0
     return dhn.WeightedGraph(w)
+
+
+def serial_fixed_points(net, states):
+    """Filter states that every single deterministic serial step leaves unchanged.
+
+    This is the operational fixed-point notion (argmax with lowest-index
+    tie-break); on tie-free instances it coincides with the census.
+    """
+    out = []
+    for c in states:
+        x = dhn.clustering_to_matrix(c)
+        if all(np.array_equal(dhn.serial_step(net, x, i), x) for i in range(net.n)):
+            out.append(c)
+    return out
+
+
+def extended_cut_of_state(ext, x):
+    """d-cut of the canonical extension of X inside the extended graph."""
+    return dhn.d_cut_via_trace(ext.as_graph(), dhn.canonical_extension(x))

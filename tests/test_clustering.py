@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import dhn
-from dhn.clustering import extended_cut_of_state, serial_fixed_points
 
-from conftest import random_onehot, random_symmetric
+from conftest import extended_cut_of_state, random_onehot, random_symmetric, serial_fixed_points
 
 
 def triangle():
@@ -18,6 +17,13 @@ class TestTypes:
     def test_graph_rejects_asymmetry(self):
         with pytest.raises(ValueError):
             dhn.WeightedGraph([[0.0, 1.0], [0.5, 0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_graph_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError):
+            dhn.WeightedGraph([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(ValueError):
+            dhn.DhnNetwork([[0.0, bad], [bad, 0.0]], np.zeros((2, 1)))
 
     def test_graph_volume_and_degrees(self):
         g = triangle()

@@ -1,11 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dhn
 from dhn.core import Activation, Outcome
+from dhn.graphs import ring_graph
+from dhn.io import load_edge_list, write_edge_list
 
-from conftest import random_classification_net, random_onehot, random_symmetric
+from conftest import (
+    random_classification_net,
+    random_onehot,
+    random_positive_graph,
+    random_symmetric,
+)
 
 
 def two_neuron_net(w01=-1.0):
@@ -14,18 +24,21 @@ def two_neuron_net(w01=-1.0):
 
 
 class TestClassify:
+    # single-row inputs are the serial-step case: one 1 x d pre-activation row
     def test_unique_argmax(self):
-        assert dhn.classify([0.2, 0.7, 0.1]).tolist() == [0, 1, 0]
+        assert dhn.classify_rows([[0.2, 0.7, 0.1]]).tolist() == [[0, 1, 0]]
 
     def test_tie_goes_to_lowest_index(self):
-        assert dhn.classify([1.0, 1.0]).tolist() == [1, 0]
+        assert dhn.classify_rows([[1.0, 1.0]]).tolist() == [[1, 0]]
 
     def test_all_negative(self):
-        assert dhn.classify([-3.0, -1.0, -2.0]).tolist() == [0, 1, 0]
+        assert dhn.classify_rows([[-3.0, -1.0, -2.0]]).tolist() == [[0, 1, 0]]
 
     def test_empty_vector_rejected(self):
         with pytest.raises(ValueError):
-            dhn.classify([])
+            dhn.classify_rows(np.zeros((1, 0)))
+        with pytest.raises(ValueError):
+            dhn.classify_rows([0.2, 0.7])  # a bare vector is not a 1 x d row
 
     def test_rows_identity(self):
         assert np.array_equal(dhn.classify_rows(np.eye(2)), np.eye(2))
@@ -249,28 +262,88 @@ class TestNetworkValidation:
             dhn.ConvergenceCriterion(max_iters=0)
 
 
-class TestSparseWeights:
-    def test_sparse_matches_dense_dynamics(self):
+def dense_modularity(g):
+    """Reference Q_ij = (W_ij - k_i k_j / Vol) / Vol, computed densely."""
+    w = g.weights.toarray()
+    k = w.sum(axis=1)
+    vol = w.sum()
+    return (w - np.outer(k, k) / vol) / vol
+
+
+class TestOperatorWeights:
+    def test_lms_network_matches_dense_q(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
-            n, d = int(rng.integers(3, 10)), int(rng.integers(1, 4))
-            w = random_symmetric(rng, n)
-            b = rng.uniform(-1, 1, size=(n, d))
-            dense = dhn.DhnNetwork(w, b)
-            sparse = dhn.DhnNetwork(sp.csr_array(w), b)
-            x0 = random_onehot(rng, n, d)
-            rd = dhn.run_serial(dense, x0)
-            rs = dhn.run_serial(sparse, x0)
-            assert np.array_equal(rd.final_state, rs.final_state)
-            assert rd.iterations == rs.iterations
-            assert np.allclose(rd.energy_trace, rs.energy_trace, rtol=1e-12, atol=1e-12)
-            pd = dhn.run_parallel(dense, x0)
-            ps = dhn.run_parallel(sparse, x0)
-            assert np.array_equal(pd.final_state, ps.final_state)
-            assert pd.outcome == ps.outcome
+            g = random_positive_graph(rng, int(rng.integers(3, 12)))
+            d = int(rng.integers(2, 5))
+            qz = dense_modularity(g)
+            np.fill_diagonal(qz, 0.0)
+            operator = dhn.build_lms_network(g, d)
+            dense = dhn.DhnNetwork(qz, np.zeros((g.n, d)))
+            x0 = random_onehot(rng, g.n, d)
+            ro, rd = dhn.run_serial(operator, x0), dhn.run_serial(dense, x0)
+            assert np.array_equal(ro.final_state, rd.final_state)
+            assert ro.iterations == rd.iterations
+            assert np.allclose(ro.energy_trace, rd.energy_trace, rtol=1e-12, atol=1e-12)
+            po, pd = dhn.run_parallel(operator, x0), dhn.run_parallel(dense, x0)
+            assert np.array_equal(po.final_state, pd.final_state)
+            assert po.outcome == pd.outcome
 
-    def test_large_dense_autoconverts(self):
-        n = dhn.core.DENSE_WEIGHT_LIMIT + 1
-        w = sp.eye_array(n, format="csr") * 0.5
-        net = dhn.DhnNetwork(w, np.zeros((n, 1)))
-        assert sp.issparse(net.weights)
+    def test_frame_network_matches_dense_q(self):
+        rng = np.random.default_rng(7)
+        crit = dhn.ConvergenceCriterion(epsilon=0.0, max_iters=40)  # a fixed 40 steps
+        for _ in range(10):
+            g = random_positive_graph(rng, int(rng.integers(4, 12)))
+            d = int(rng.integers(1, 4))
+            zeros = np.zeros((g.n, d))
+            frame = Activation.STIEFEL_PROJECTION
+            operator = dhn.DhnNetwork(dhn.modularity_matrix(g).q, zeros, frame)
+            dense = dhn.DhnNetwork(dense_modularity(g), zeros, frame)
+            x0 = dhn.stiefel_project(rng.uniform(-1.0, 1.0, size=(g.n, d)))
+            po = dhn.run_parallel(operator, x0, crit=crit, track_energy=False)
+            pd = dhn.run_parallel(dense, x0, crit=crit, track_energy=False)
+            assert np.allclose(po.final_state, pd.final_state, rtol=0.0, atol=1e-9)
+            labels = dhn.classify_rows(po.final_state)
+            assert np.array_equal(labels, dhn.classify_rows(pd.final_state))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        d=st.integers(1, 4),
+        density=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_products_match_dense_q(self, n, d, density, seed):
+        rng = np.random.default_rng(seed)
+        g = random_positive_graph(rng, n, density)
+        mm = dhn.modularity_matrix(g)
+        q = dense_modularity(g)
+        qz = q.copy()
+        np.fill_diagonal(qz, 0.0)
+        x = rng.uniform(-1.0, 1.0, size=(n, d))
+        for operator, reference in ((mm.q, q), (mm.q.zero_diagonal(), qz)):
+            assert np.max(np.abs(operator.toarray() - reference)) <= 1e-12
+            assert np.max(np.abs(operator @ x - reference @ x)) <= 1e-12
+            assert np.max(np.abs(operator @ x[:, 0] - reference @ x[:, 0])) <= 1e-12
+            for i in range(n):
+                assert np.max(np.abs(operator.row(x, i) - reference[i] @ x)) <= 1e-12
+            assert np.max(np.abs(operator.diagonal() - np.diagonal(reference))) <= 1e-12
+        assert np.all(mm.q.zero_diagonal().diagonal() == 0.0)
+
+    def test_no_n_by_n_array_from_load_to_score(self, tmp_path):
+        # one n x n float64 array would take 72 MB at n = 3000
+        n, d = 3000, 4
+        path = tmp_path / "ring.edges"
+        write_edge_list(ring_graph(n), path)
+        x0 = random_onehot(np.random.default_rng(8), n, d)
+        tracemalloc.start()
+        try:
+            g = load_edge_list(path)
+            net = dhn.build_lms_network(g, d)
+            c = dhn.clustering_from_matrix(dhn.parallel_step(net, x0))
+            dhn.modularity_score(g, c)
+            dhn.d_cut_value(g, c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

@@ -15,6 +15,7 @@ from dhn.io import (
     load_result,
     score_assignment,
     write_edge_list,
+    write_result,
 )
 
 
@@ -28,20 +29,26 @@ class TestLoadEdgeList:
     def test_default_weight_and_first_appearance_order(self, tmp_path):
         g = load_edge_list(write(tmp_path, "a b\nb c\n"))
         assert g.labels() == ("a", "b", "c")
-        assert g.weights.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+        assert g.weights.toarray().tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 
     def test_duplicate_records_sum(self, tmp_path):
         g = load_edge_list(write(tmp_path, "a b 2\na b 3\n"))
-        assert g.weights.tolist() == [[0, 5], [5, 0]]
+        assert g.weights.toarray().tolist() == [[0, 5], [5, 0]]
 
     def test_reversed_duplicates_sum_symmetrically(self, tmp_path):
         g = load_edge_list(write(tmp_path, "a b 2\nb a 3\n"))
-        assert g.weights.tolist() == [[0, 5], [5, 0]]
+        assert g.weights.toarray().tolist() == [[0, 5], [5, 0]]
 
     def test_bad_weight_reports_line(self, tmp_path):
         with pytest.raises(EdgeListParseError) as err:
             load_edge_list(write(tmp_path, "a b x\n"))
         assert err.value.line_number == 1
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_weight_reports_line(self, tmp_path, weight):
+        with pytest.raises(EdgeListParseError) as err:
+            load_edge_list(write(tmp_path, f"a b 1\nb c {weight}\n"))
+        assert err.value.line_number == 2
 
     def test_wrong_token_count_reports_line(self, tmp_path):
         with pytest.raises(EdgeListParseError) as err:
@@ -66,7 +73,7 @@ class TestLoadEdgeList:
             load_edge_list(path, directed_reject=True)
         both = write(tmp_path, "a b 1\nb a 1\n", name="sym.edges")
         g = load_edge_list(both, directed_reject=True)
-        assert g.weights.tolist() == [[0, 1], [1, 0]]
+        assert g.weights.toarray().tolist() == [[0, 1], [1, 0]]
 
     def test_write_read_round_trip(self, tmp_path):
         g = karate_club()
@@ -74,7 +81,7 @@ class TestLoadEdgeList:
         write_edge_list(g, path)
         g2 = load_edge_list(path)
         assert g2.labels() == g.labels()
-        assert np.array_equal(g2.weights, g.weights)
+        assert np.array_equal(g2.weights.toarray(), g.weights.toarray())
 
 
 class TestLabelRenaming:
@@ -174,6 +181,16 @@ class TestClusterCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("method", ["lms", "cleora", "gnm"])
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_weight_exit_code(self, tmp_path, capsys, method, weight):
+        bad = write(tmp_path, f"a b 1\nb c {weight}\nc a 1\n")
+        out = tmp_path / "x.json"
+        code = run_cli(["cluster", "--method", method, "--input", bad, "--output", out])
+        assert code == 3
+        assert "line 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degenerate_graph_exit_code(self, tmp_path):
         zero = write(tmp_path, "a b 1\na b -1\n")
         code = run_cli(
@@ -232,6 +249,12 @@ class TestEvalCommand:
         printed = capsys.readouterr().out
         rescored = float(printed.split("modularity")[1].split()[0])
         assert rescored == pytest.approx(stored["modularity"], abs=1e-9)
+
+    def test_result_is_strict_json(self, tmp_path):
+        out = tmp_path / "nan.json"
+        with pytest.raises(ValueError):
+            write_result({"modularity": float("nan")}, out)
+        assert not out.exists()
 
     def test_missing_assignment_key(self, tmp_path, karate_file):
         bogus = tmp_path / "bogus.json"
