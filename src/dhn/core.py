@@ -290,7 +290,9 @@ class RunReport:
     ``cycle_length`` is 1 for a stable state, 2 for a two-cycle, k for a longer
     detected cycle, None when the budget ran out.  ``energy_trace`` is recorded
     for classification runs only: one entry for the initial state plus one per
-    update step.
+    update step.  ``final_state`` is the n x d state matrix, except for
+    ``run_lms``, whose search runs on labels: there it is the length-n label
+    vector, and its scores are the vol^2-scaled ΔQ, exact on integer weights.
     """
 
     final_state: np.ndarray

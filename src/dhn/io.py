@@ -76,7 +76,9 @@ def load_edge_list(path, directed_reject: bool = False) -> WeightedGraph:
     Weights must be finite numbers.
     """
     index: dict = {}
-    records = []
+    # flat lists, not a tuple per edge: surviving tuples are tracked by the
+    # cyclic garbage collector and made large loads pay full collections
+    sources, targets, weights = [], [], []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -99,10 +101,12 @@ def load_edge_list(path, directed_reject: bool = False) -> WeightedGraph:
             for label in (u, v):
                 if label not in index:
                     index[label] = len(index)
-            records.append((index[u], index[v], weight))
-    if not records:
+            sources.append(index[u])
+            targets.append(index[v])
+            weights.append(weight)
+    if not sources:
         raise EdgeListParseError("edge list contains no edges", 0)
-    i, j, data = map(np.array, zip(*records))
+    i, j, data = np.array(sources), np.array(targets), np.array(weights)
     n = len(index)
     if directed_reject:
         w = canonical_csr(sp.coo_array((data, (i, j)), shape=(n, n)))

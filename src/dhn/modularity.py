@@ -9,6 +9,7 @@ runs in disguise.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -20,11 +21,13 @@ from .core import (
     Activation,
     ConvergenceCriterion,
     DhnNetwork,
+    Outcome,
+    RunReport,
     WeightMatrix,
+    max_asymmetry,
     parallel_step,
     revisit_lag,
     run_parallel,
-    run_serial,
 )
 
 __all__ = [
@@ -110,6 +113,139 @@ def build_lms_network(graph: WeightedGraph, d: Optional[int] = None) -> DhnNetwo
     return DhnNetwork(mm.q.zero_diagonal(), np.zeros((graph.n, d)), Activation.CLASSIFICATION)
 
 
+class _ClusterDegrees:
+    """Cluster degree totals K_c, with lazy heaps for the best cluster outside a set.
+
+    A cluster with no edge to node i scores -k_i K_c, so the best of them has
+    the least K_c when k_i > 0 and the largest when k_i < 0 (ties to the
+    lowest index).  Each sign gets a heap of (sign * K_c, c), built on first
+    use; moves push fresh entries and entries whose key no longer matches
+    K_c are dropped when they surface.
+    """
+
+    def __init__(self, totals: list):
+        self.totals = totals
+        self._heaps = {}
+
+    def _heap(self, sign: float) -> list:
+        heap = self._heaps.get(sign)
+        if heap is None or len(heap) > 3 * len(self.totals):  # rebuild once mostly stale
+            heap = [(sign * t, c) for c, t in enumerate(self.totals)]
+            heapq.heapify(heap)
+            self._heaps[sign] = heap
+        return heap
+
+    def move(self, k_i: float, src: int, dst: int) -> None:
+        t = self.totals
+        t[src] -= k_i
+        t[dst] += k_i
+        for sign, heap in self._heaps.items():
+            heapq.heappush(heap, (sign * t[src], src))
+            heapq.heappush(heap, (sign * t[dst], dst))
+
+    def best_outside(self, k_i: float, taken) -> Optional[int]:
+        """Lowest-index cluster not in ``taken`` maximizing -k_i K_c; None if all are taken."""
+        if k_i == 0:
+            return next((c for c in range(len(self.totals)) if c not in taken), None)
+        sign = 1.0 if k_i > 0 else -1.0
+        heap, t = self._heap(sign), self.totals
+        skipped, best = [], None
+        while heap:
+            key, c = heap[0]
+            if key != sign * t[c]:
+                heapq.heappop(heap)
+            elif c in taken:
+                skipped.append(heapq.heappop(heap))
+            else:
+                best = c
+                break
+        for entry in skipped:
+            heapq.heappush(heap, entry)
+        return best
+
+
+def _best_move(
+    node: int, labels: list, clusters: _ClusterDegrees, csr: tuple, vol: float, k_i: float
+) -> tuple:
+    """The greedy modularity move of ``node``: (target cluster, S_target - S_own).
+
+    S_c = Vol A_{node,c} - k_node K'_c is row ``node`` of the zero-diagonal Q
+    times one-hot column c, scaled by Vol^2: A_{node,c} is the weight from
+    ``node`` into c without self-loops, and K'_c is K_c less k_node for the
+    node's own cluster.  On integer weights every S_c is an exact integer in
+    float64, so ties are real and go to the lowest cluster index, as in the
+    network's argmax.  Costs O(deg log d).
+    """
+    indptr, indices, data = csr
+    own = labels[node]
+    links = {own: 0.0}
+    for p in range(indptr[node], indptr[node + 1]):
+        j = indices[p]
+        if j != node:
+            c = labels[j]
+            links[c] = links.get(c, 0.0) + data[p]
+    totals = clusters.totals
+    own_score = vol * links[own] - k_i * (totals[own] - k_i)
+    target, best = own, own_score
+    for c, a in links.items():
+        score = vol * a - k_i * totals[c] if c != own else own_score
+        if score > best or (score == best and c < target):
+            target, best = c, score
+    outside = clusters.best_outside(k_i, links)
+    if outside is not None:
+        score = -k_i * totals[outside]
+        if score > best or (score == best and outside < target):
+            target, best = outside, score
+    return target, best - own_score
+
+
+def _csr_views(graph: WeightedGraph) -> tuple:
+    # memoryviews index as Python scalars without copying the arrays into lists
+    w = graph.weights
+    return memoryview(w.indptr), memoryview(w.indices), memoryview(w.data)
+
+
+def _lms_sweeps(
+    graph: WeightedGraph, labels, d: int, max_sweeps: int, track_energy: bool
+) -> RunReport:
+    """Cyclic serial sweeps of the LMS network, held as a label vector.
+
+    The run of ``run_serial`` on ``build_lms_network(graph, d)`` from the
+    one-hot state of ``labels`` (with scores scaled by Vol^2, so exact ties
+    on integer weights), without the n x d state: STABLE once a sweep
+    moves no node, else BUDGET_EXHAUSTED after ``max_sweeps``; ``iterations``
+    counts sweeps.  The energy trace (Q units, 1 + n * sweeps entries) adds
+    -2 (S_target - S_own) / Vol^2 per move.  ``final_state`` is the label vector.
+    """
+    vol = _positive_volume(graph)
+    k = graph.degrees
+    labels = [int(a) for a in labels]
+    totals = np.bincount(labels, weights=k, minlength=d)
+    trace = None
+    if track_energy:
+        w = graph.weights
+        rows = np.repeat(np.arange(graph.n), np.diff(w.indptr))
+        a = np.asarray(labels)
+        inside = w.data[(a[rows] == a[w.indices]) & (rows != w.indices)].sum()
+        trace = [-(vol * inside - (totals @ totals - k @ k)) / vol**2]
+    clusters = _ClusterDegrees(totals.tolist())
+    csr, degrees = _csr_views(graph), memoryview(k)
+    for sweep in range(1, max_sweeps + 1):
+        moved = False
+        for i in range(graph.n):
+            k_i = degrees[i]
+            target, gain = _best_move(i, labels, clusters, csr, vol, k_i)
+            if target != labels[i]:
+                clusters.move(k_i, labels[i], target)
+                labels[i] = target
+                moved = True
+            if trace is not None:
+                trace.append(trace[-1] - 2.0 * gain / vol**2)
+        if not moved:
+            return RunReport(np.array(labels), sweep, Outcome.STABLE, 1, trace)
+    return RunReport(np.array(labels), max_sweeps, Outcome.BUDGET_EXHAUSTED, None, trace)
+
+
 def louvain_update(graph: WeightedGraph, c: Clustering, node: int) -> Clustering:
     """Greedily move one node to the cluster that maximizes modularity.
 
@@ -117,34 +253,34 @@ def louvain_update(graph: WeightedGraph, c: Clustering, node: int) -> Clustering
     weights are handled; ties go to the lowest cluster index.  Moving ``node``
     to cluster m changes modularity by an amount monotone in
     sum_{j in c_m} Qz_{node,j} with Qz the zero-diagonal modularity matrix,
-    which is what is maximized here.
-
-    A reference for the network's serial step: every call rebuilds the
-    modularity operator and the n x d clustering matrix.
+    which is what is maximized here, scaled by Vol^2.  Costs O(m + n).
     """
     if not 0 <= node < graph.n:
         raise IndexError(f"node {node} out of range for n={graph.n}")
-    qz = modularity_matrix(graph).q.zero_diagonal()
-    scores = qz.row(clustering_to_matrix(c), node)
-    target = int(np.argmax(scores))
-    if target == c.assignment[node]:
+    vol = _positive_volume(graph)
+    k = graph.degrees
+    clusters = _ClusterDegrees(np.bincount(c.assignment, weights=k, minlength=c.d).tolist())
+    labels = list(c.assignment)
+    target, _ = _best_move(node, labels, clusters, _csr_views(graph), vol, float(k[node]))
+    if target == labels[node]:
         return c
-    new = list(c.assignment)
-    new[node] = target
-    return Clustering(new, c.d)
+    labels[node] = target
+    return Clustering(labels, c.d)
 
 
 def run_lms(graph: WeightedGraph, crit: Optional[ConvergenceCriterion] = None) -> tuple:
     """Louvain-method search: serial run from the singleton clustering.
 
-    Every node starts in its own cluster (state matrix I_n) and nodes are
-    visited cyclically until no move improves modularity.  Returns
-    (Clustering, RunReport).
+    Every node starts in its own cluster (d = n) and nodes are visited
+    cyclically until no move improves modularity.  Returns (Clustering,
+    RunReport); the report's final state is the length-n label vector.
     """
-    net = build_lms_network(graph)
-    net.validate_energy_hypotheses()
-    report = run_serial(net, np.eye(graph.n), schedule="cyclic", crit=crit)
-    return clustering_from_matrix(report.final_state), report
+    asym = max_asymmetry(graph.weights)
+    if asym > 1e-12:  # the convergence guarantee needs symmetric weights
+        raise ValueError(f"weights are asymmetric: max |W - Wt| = {asym:g}")
+    crit = crit if crit is not None else ConvergenceCriterion()
+    report = _lms_sweeps(graph, range(graph.n), graph.n, crit.max_iters, track_energy=True)
+    return Clustering(report.final_state, graph.n), report
 
 
 def run_plms(

@@ -24,10 +24,9 @@ from .core import (
     classify_rows,
     revisit_lag,
     run_parallel,
-    run_serial,
     stiefel_project,
 )
-from .modularity import build_lms_network, modularity_matrix
+from .modularity import _lms_sweeps, modularity_matrix
 
 __all__ = ["run_gnm", "run_gnm_plus_lms", "run_sgnm", "stiefel_project"]
 
@@ -115,18 +114,12 @@ def run_gnm_plus_lms(
     state; iterations count the GNM parallel steps plus the one sweep.
     """
     gnm_clustering, gnm_report = run_gnm(graph, d, seed=seed, crit=crit)
-    lms_net = build_lms_network(graph, d)
-    sweep = run_serial(
-        lms_net,
-        clustering_to_matrix(gnm_clustering),
-        crit=ConvergenceCriterion(max_iters=1),
-        track_energy=False,
-    )
-    x = sweep.final_state
+    sweep = _lms_sweeps(graph, gnm_clustering.assignment, d, 1, track_energy=False)
+    clustering = Clustering(sweep.final_state, d)
     report = RunReport(
-        final_state=x,
+        final_state=clustering_to_matrix(clustering),
         iterations=gnm_report.iterations + 1,
         outcome=gnm_report.outcome,
         cycle_length=gnm_report.cycle_length,
     )
-    return clustering_from_matrix(x), report
+    return clustering, report

@@ -1,17 +1,41 @@
 import itertools
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import dhn
-from dhn.core import Outcome
-from dhn.graphs import disjoint_pairs_graph, karate_club
+from dhn.core import ConvergenceCriterion, Outcome
+from dhn.graphs import disjoint_pairs_graph, karate_club, ring_graph
+from dhn.modularity import _lms_sweeps
 
 from conftest import random_positive_graph
 
 
 def single_edge_graph():
     return dhn.WeightedGraph([[0.0, 1.0], [1.0, 0.0]])
+
+
+def random_integer_graph(rng, n):
+    """Integer weights in -2..3, self-loops included, resampled until the volume is positive."""
+    while True:
+        w = np.triu(rng.integers(-2, 4, size=(n, n)) * (rng.random((n, n)) < 0.4))
+        w = w + np.triu(w, 1).T
+        if w.sum() > 0:
+            return dhn.WeightedGraph(w.astype(float))
+
+
+def exact_lms_network(g, d):
+    """Vol^2 times the LMS network: M = Vol W - k kt with a zeroed diagonal.
+
+    On integer weights every entry and every row product is an exact integer
+    in float64, so its argmax decides ties by the lowest index alone.
+    """
+    k = g.degrees
+    m = g.volume * g.weights.toarray() - np.outer(k, k)
+    np.fill_diagonal(m, 0.0)
+    return dhn.DhnNetwork(m, np.zeros((g.n, d)))
 
 
 class TestModularityMatrix:
@@ -148,6 +172,11 @@ class TestRunLms:
         assert c.canonical().assignment == (0, 0)
         assert dhn.modularity_score(g, c) == 0.0
 
+    def test_asymmetric_weights_rejected(self):
+        g = dhn.WeightedGraph([[0.0, 1.0], [2.0, 0.0]], check_symmetric=False)
+        with pytest.raises(ValueError, match="asymmetric"):
+            dhn.run_lms(g)
+
     def test_modularity_nondecreasing_along_run(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -161,6 +190,109 @@ class TestRunLms:
                     current = dhn.modularity_score(g, dhn.clustering_from_matrix(x))
                     assert current >= previous - 1e-12
                     previous = current
+
+
+class TestLmsExactOracle:
+    """The label-vector sweep against run_serial on the exact integer network."""
+
+    def test_run_lms_matches_exact_network(self):
+        rng = np.random.default_rng(12)
+        for case in range(80):
+            g = random_integer_graph(rng, int(rng.integers(2, 41)))
+            crit = ConvergenceCriterion(max_iters=2 if case % 4 == 0 else 1000)
+            c, report = dhn.run_lms(g, crit=crit)
+            oracle = dhn.run_serial(exact_lms_network(g, g.n), np.eye(g.n), crit=crit)
+            assert np.array_equal(report.final_state, np.argmax(oracle.final_state, axis=1))
+            assert c == dhn.clustering_from_matrix(oracle.final_state)
+            assert report.iterations == oracle.iterations
+            assert report.outcome is oracle.outcome
+
+    def test_gnm_lms_sweep_matches_exact_network(self):
+        rng = np.random.default_rng(13)
+        crit = ConvergenceCriterion(max_iters=50)
+        for seed in range(30):
+            g = random_integer_graph(rng, int(rng.integers(4, 41)))
+            d = int(rng.integers(2, 7))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # rank-deficient frames
+                gnm_c, _ = dhn.run_gnm(g, d, seed=seed, crit=crit)
+                c, report = dhn.run_gnm_plus_lms(g, d, seed=seed, crit=crit)
+            oracle = dhn.run_serial(
+                exact_lms_network(g, d),
+                dhn.clustering_to_matrix(gnm_c),
+                crit=ConvergenceCriterion(max_iters=1),
+                track_energy=False,
+            )
+            assert np.array_equal(report.final_state, oracle.final_state)
+            assert c == dhn.clustering_from_matrix(oracle.final_state)
+
+    def test_exact_tie_goes_to_lowest_index(self):
+        # node 2 (degree 6, Vol 14) scores 14*2 - 6*2 = 16 in its own cluster 2
+        # (holding node 0) and 14*2 - 6*2 = 16 in cluster 4: it stays in 2.
+        # The unscaled float scores 16/196 round apart and once picked 4.
+        w = np.zeros((6, 6))
+        for i, j, weight in [(0, 2, 2), (1, 5, 1), (2, 3, 1), (2, 4, 2), (2, 5, 1)]:
+            w[i, j] = w[j, i] = weight
+        g = dhn.WeightedGraph(w)
+        c = dhn.Clustering([2, 1, 2, 3, 4, 5], 6)
+        row = exact_lms_network(g, 6).weights.row(dhn.clustering_to_matrix(c), 2)
+        assert row[2] == row[4] == np.max(row) == 16.0
+        assert dhn.louvain_update(g, c, 2) is c
+        lms_c, _ = dhn.run_lms(g)
+        assert lms_c.assignment == (2, 5, 2, 2, 2, 5)
+
+    def test_energy_trace(self):
+        rng = np.random.default_rng(14)
+        for _ in range(40):
+            g = random_integer_graph(rng, int(rng.integers(2, 30)))
+            c, report = dhn.run_lms(g)
+            trace = np.array(report.energy_trace)
+            assert len(trace) == 1 + g.n * report.iterations
+            assert np.all(np.diff(trace) <= 0.0)
+            final = dhn.energy(dhn.build_lms_network(g), dhn.clustering_to_matrix(c))
+            assert abs(trace[-1] - final) <= 1e-12
+
+    def test_energy_trace_from_any_start(self):
+        # the exact network's energy is Vol^2 times the LMS network's
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            g = random_integer_graph(rng, int(rng.integers(2, 30)))
+            d = int(rng.integers(1, 5))
+            labels = rng.integers(0, d, g.n)
+            report = _lms_sweeps(g, labels, d, 1000, track_energy=True)
+            x0 = dhn.clustering_to_matrix(dhn.Clustering(labels, d))
+            oracle = dhn.run_serial(exact_lms_network(g, d), x0)
+            assert np.array_equal(report.final_state, np.argmax(oracle.final_state, axis=1))
+            expected = np.array(oracle.energy_trace) / g.volume**2
+            assert np.allclose(report.energy_trace, expected, rtol=0.0, atol=1e-12)
+
+    def test_energy_falls_at_every_move(self):
+        # continuous weights: no exact ties, so every move strictly gains
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            g = random_positive_graph(rng, int(rng.integers(3, 15)))
+            _, report = dhn.run_lms(g)
+            net, x = dhn.build_lms_network(g), np.eye(g.n)
+            for step, drop in enumerate(np.diff(report.energy_trace)):
+                stepped = dhn.serial_step(net, x, step % g.n)
+                if np.array_equal(stepped, x):
+                    assert drop == 0.0
+                else:
+                    assert drop < 0.0
+                x = stepped
+            assert np.array_equal(np.argmax(x, axis=1), report.final_state)
+
+    def test_no_n_squared_allocation(self):
+        # one 3000 x 3000 float64 array is 72 MB
+        g = ring_graph(3000)
+        tracemalloc.start()
+        try:
+            dhn.run_lms(g, crit=ConvergenceCriterion(max_iters=3))
+            dhn.run_gnm_plus_lms(g, 4, seed=0, crit=ConvergenceCriterion(max_iters=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestRunPlms:
