@@ -87,10 +87,8 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError("l2_normalize_rows expects a 2-d matrix")
     norms = np.linalg.norm(m, axis=1)
-    out = np.zeros(m.shape)
     keep = norms >= _ZERO_ROW_NORM
-    out[keep] = m[keep] / norms[keep, None]
-    return out
+    return np.divide(m, norms[:, None], out=np.zeros(m.shape), where=keep[:, None])
 
 
 def stiefel_project(m: np.ndarray) -> np.ndarray:

@@ -45,10 +45,14 @@ def run_cleora(
 def write_embedding(path, embedding: np.ndarray, labels=None) -> None:
     """Write one node per line: its label then d decimals with 17 significant digits."""
     embedding = np.asarray(embedding, dtype=float)
+    if embedding.ndim != 2:
+        raise ValueError("embedding must be a 2-d matrix")
     if labels is None:
-        labels = [str(i) for i in range(embedding.shape[0])]
+        labels = range(embedding.shape[0])
     if len(labels) != embedding.shape[0]:
         raise ValueError("label count must match the number of embedding rows")
+    # one format call per row; a whole-matrix tolist() would hold n*d floats
+    template = "%s " + " ".join(["%.17g"] * embedding.shape[1]) + "\n"
     with open(path, "w") as fh:
         for label, row in zip(labels, embedding):
-            fh.write(str(label) + " " + " ".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(template % (label, *row.tolist()))

@@ -81,28 +81,26 @@ def load_edge_list(path, directed_reject: bool = False) -> WeightedGraph:
     sources, targets, weights = [], [], []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            tokens = raw.split()
+            if not tokens or tokens[0].startswith("#"):
                 continue
-            tokens = line.split()
-            if len(tokens) not in (2, 3):
+            if len(tokens) == 2:
+                u, v = tokens
+                weight = 1.0
+            elif len(tokens) == 3:
+                u, v, text = tokens
+                try:
+                    weight = float(text)
+                except ValueError:
+                    raise EdgeListParseError(f"weight {text!r} is not a number", lineno) from None
+                if not math.isfinite(weight):
+                    raise EdgeListParseError(f"weight {text!r} is not finite", lineno)
+            else:
                 raise EdgeListParseError(
                     f"expected 'source target [weight]', got {len(tokens)} tokens", lineno
                 )
-            u, v = tokens[0], tokens[1]
-            weight = 1.0
-            if len(tokens) == 3:
-                try:
-                    weight = float(tokens[2])
-                except ValueError:
-                    raise EdgeListParseError(f"weight {tokens[2]!r} is not a number", lineno) from None
-                if not math.isfinite(weight):
-                    raise EdgeListParseError(f"weight {tokens[2]!r} is not finite", lineno)
-            for label in (u, v):
-                if label not in index:
-                    index[label] = len(index)
-            sources.append(index[u])
-            targets.append(index[v])
+            sources.append(index.setdefault(u, len(index)))
+            targets.append(index.setdefault(v, len(index)))
             weights.append(weight)
     if not sources:
         raise EdgeListParseError("edge list contains no edges", 0)

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra import numpy as hnp
 
 import dhn
 from dhn.embedding import run_cleora, write_embedding
@@ -77,6 +81,33 @@ class TestRunCleora:
             run_cleora(g, 2, iters=-1)
 
 
+def reference_write_embedding(path, embedding, labels=None):
+    """The per-value writer the row template replaced: the byte-identity reference."""
+    embedding = np.asarray(embedding, dtype=float)
+    if labels is None:
+        labels = [str(i) for i in range(embedding.shape[0])]
+    with open(path, "w") as fh:
+        for label, row in zip(labels, embedding):
+            fh.write(str(label) + " " + " ".join(f"{v:.17g}" for v in row) + "\n")
+
+
+EDGE_VALUES = np.array(
+    [
+        [-0.0, 5e-324, 1e-300, 1.0],
+        [-1.0, 0.1, 1e16, 123456789.123],
+        [0.0, 0.0, 0.0, 0.0],
+        [np.nan, np.inf, -np.inf, 1e308],
+    ]
+)
+
+
+def assert_same_bytes(tmp_path, embedding, labels=None):
+    new, old = tmp_path / "new.emb", tmp_path / "old.emb"
+    write_embedding(new, embedding, labels=labels)
+    reference_write_embedding(old, embedding, labels=labels)
+    assert new.read_bytes() == old.read_bytes()
+
+
 class TestEmbeddingExport:
     def test_round_trip_precision(self, tmp_path):
         g = ring_graph(5)
@@ -94,3 +125,39 @@ class TestEmbeddingExport:
     def test_label_count_checked(self, tmp_path):
         with pytest.raises(ValueError):
             write_embedding(tmp_path / "x.emb", np.zeros((2, 2)), labels=["only-one"])
+
+    def test_non_2d_rejected_before_file_exists(self, tmp_path):
+        path = tmp_path / "x.emb"
+        for bad in (np.zeros(3), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError):
+                write_embedding(path, bad)
+            assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "labels", [None, ["a", "b", "long-label_3", "d"], [10, -2, 0, 7]], ids=["none", "str", "int"]
+    )
+    def test_bytes_equal_per_value_writer(self, tmp_path, labels):
+        assert_same_bytes(tmp_path, EDGE_VALUES, labels)
+
+    def test_bytes_equal_on_cleora_output_and_empty_rows(self, tmp_path):
+        g = ring_graph(9)
+        assert_same_bytes(tmp_path, run_cleora(g, 6, iters=3, seed=3), g.labels())
+        assert_same_bytes(tmp_path, np.zeros((3, 0)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6)))
+    def test_bytes_equal_on_any_float64_matrix(self, tmp_path_factory, embedding):
+        assert_same_bytes(tmp_path_factory.mktemp("emb"), embedding)
+
+    def test_memory_stays_per_row(self, tmp_path):
+        # 6000 x 64 as on the cleora-6k benchmark; turning the whole matrix
+        # into Python floats at once peaks at about 12 MiB
+        embedding = np.random.default_rng(0).uniform(-1.0, 1.0, size=(6000, 64))
+        labels = [f"n{i}" for i in range(6000)]
+        tracemalloc.start()
+        try:
+            write_embedding(tmp_path / "big.emb", embedding, labels=labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

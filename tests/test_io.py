@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dhn
 from dhn.cli import main
@@ -82,6 +84,66 @@ class TestLoadEdgeList:
         g2 = load_edge_list(path)
         assert g2.labels() == g.labels()
         assert np.array_equal(g2.weights.toarray(), g.weights.toarray())
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a\tb\t2\nb\tc\n",
+            "   # indented comment\na b 2\n\t# tabbed comment\nb c\n",
+            "a b 2\r\nb c\r\n",
+            "a b 2\n   \n\t\nb c\n \t \r\n",
+        ],
+        ids=["tabs", "indented-comments", "crlf", "whitespace-lines"],
+    )
+    def test_separators_and_skipped_lines(self, tmp_path, text):
+        path = tmp_path / "graph.edges"
+        path.write_bytes(text.encode())
+        g = load_edge_list(path)
+        assert g.labels() == ("a", "b", "c")
+        assert g.weights.toarray().tolist() == [[0, 2, 0], [2, 0, 1], [0, 1, 0]]
+
+    @pytest.mark.parametrize("bad, tokens", [("lonely", 1), ("a b 1 extra", 4)])
+    def test_token_count_line_after_comments_and_blanks(self, tmp_path, bad, tokens):
+        text = "# header\na b 1\n\n   # note\n \t\nb c\n" + bad + "\nc d\n"
+        with pytest.raises(EdgeListParseError, match=f"got {tokens} tokens") as err:
+            load_edge_list(write(tmp_path, text))
+        assert err.value.line_number == 7
+
+
+@st.composite
+def labelled_graphs(draw):
+    """A random graph with distinct labels in which every node after the first
+    has a lower-index neighbour, so writing and loading keeps the node order."""
+    n = draw(st.integers(1, 12))
+    label_text = st.text("abcXYZ019_-.:", min_size=1, max_size=4)
+    labels = draw(st.lists(label_text, min_size=n, max_size=n, unique=True))
+    weight = st.one_of(
+        st.integers(-3, 5).filter(bool).map(float),
+        st.floats(-1e6, 1e6, allow_nan=False).filter(bool),
+    )
+    edges = {}
+    for i in range(1, n):
+        edges[(draw(st.integers(0, i - 1)), i)] = draw(weight)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted).map(tuple)
+    edges.update(draw(st.dictionaries(pairs, weight, max_size=2 * n)))  # self-loops included
+    if n == 1 and not edges:
+        edges[(0, 0)] = 1.0
+    w = np.zeros((n, n))
+    for (i, j), value in edges.items():
+        w[i, j] = w[j, i] = value
+    return dhn.WeightedGraph(w, node_labels=labels)
+
+
+class TestEdgeListRoundTrip:
+    @settings(max_examples=80, deadline=None)
+    @given(labelled_graphs())
+    def test_write_then_load_reproduces_graph(self, tmp_path_factory, g):
+        path = tmp_path_factory.mktemp("round") / "g.edges"
+        write_edge_list(g, path)
+        loaded = load_edge_list(path)
+        assert loaded.labels() == g.labels()
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(loaded.weights, part), getattr(g.weights, part))
 
 
 class TestLabelRenaming:
