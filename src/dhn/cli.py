@@ -12,7 +12,6 @@ import sys
 import time
 
 from .clustering import InstanceTooLargeError, WeightedGraph
-from .core import ConvergenceCriterion
 from .embedding import run_cleora, write_embedding
 from .io import (
     METHODS,
@@ -48,9 +47,7 @@ def _check_config(config: RunConfig, graph: WeightedGraph) -> None:
 def cluster_command(config: RunConfig, graph: WeightedGraph) -> dict:
     """Run the configured method on a graph and assemble its result document."""
     _check_config(config, graph)
-    crit = ConvergenceCriterion(
-        epsilon=config.epsilon, window=config.window, max_iters=config.max_iters
-    )
+    crit = config.criterion()
     start = time.perf_counter()
     clustering = None
     embedding_path = None
@@ -128,17 +125,21 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "cluster":
-            config = RunConfig(
-                method=args.method,
-                dim=args.dim,
-                seed=_resolve_seed(args.seed),
-                epsilon=args.epsilon,
-                window=args.window,
-                max_iters=args.max_iters,
-                input=args.input,
-                output=args.output,
-                directed_reject=args.directed_reject,
-            )
+            seed = _resolve_seed(args.seed)
+            try:  # out-of-range flags are usage errors, caught before the input is read
+                config = RunConfig(
+                    method=args.method,
+                    dim=args.dim,
+                    seed=seed,
+                    epsilon=args.epsilon,
+                    window=args.window,
+                    max_iters=args.max_iters,
+                    input=args.input,
+                    output=args.output,
+                    directed_reject=args.directed_reject,
+                )
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
             graph = load_edge_list(args.input, directed_reject=args.directed_reject)
             document = cluster_command(config, graph)
             write_result(document, args.output)

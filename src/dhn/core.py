@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -29,6 +29,7 @@ __all__ = [
     "classify_rows",
     "energy",
     "energy_delta",
+    "iterate",
     "l2_normalize_rows",
     "parallel_step",
     "run_parallel",
@@ -251,33 +252,26 @@ class DhnNetwork:
 
 @dataclass(frozen=True)
 class ConvergenceCriterion:
-    """Stopping rule shared by the iterative runs.
+    """Stopping rule shared by the iterative runs (see ``iterate``).
 
-    ``epsilon`` and ``window`` implement the directional criterion: halt when
-    the normalized state X / ||X||_F comes within ``epsilon`` (Frobenius) of
-    one of the previous ``window`` normalized states.  Classification runs
-    compare states exactly instead (``normalize`` defaults accordingly and can
-    be forced either way).  ``max_iters`` bounds sweeps in serial mode and
-    steps in parallel mode.
+    A run halts when its new state revisits one of the previous ``window``
+    states, or after ``max_iters`` sweeps (serial runs) or steps (parallel
+    runs).  Argmax states are compared exactly; continuous states match when
+    their directions X / ||X||_F are within ``epsilon`` (Frobenius).  Serial
+    runs only read ``max_iters``: they stop at the exact fixed point.
     """
 
     epsilon: float = 1e-8
     window: int = 2
     max_iters: int = 1000
-    normalize: Optional[bool] = None
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not 0 <= self.epsilon < np.inf:  # nan or inf would decide every comparison alike
+            raise ValueError("epsilon must be finite and nonnegative")
         if self.window < 1:
             raise ValueError("window must be at least 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-
-    def resolved_normalize(self, activation: Activation) -> bool:
-        if self.normalize is not None:
-            return self.normalize
-        return activation is not Activation.CLASSIFICATION
 
 
 @dataclass
@@ -380,6 +374,39 @@ def _row_update_energy_delta(h_row, old_row, new_row, w_diag_entry) -> float:
     return float(-2.0 * (delta_row @ h_row) - w_diag_entry * (delta_row @ delta_row))
 
 
+def iterate(step, x: np.ndarray, crit: ConvergenceCriterion, exact: bool = False) -> RunReport:
+    """Apply ``step`` from state ``x`` until it revisits one of the last ``crit.window`` states.
+
+    ``step`` maps a state to the next one and must not modify its argument.
+    States match exactly when ``exact``, otherwise when their directions
+    X / ||X||_F (a zero state is its own direction) are within
+    ``crit.epsilon`` in Frobenius norm.  A revisit at lag k (1 = the previous
+    state) ends the run with ``Outcome.of_lag(k)`` and ``cycle_length`` k;
+    otherwise it ends BUDGET_EXHAUSTED after ``crit.max_iters`` steps.
+    ``iterations`` counts the steps taken.
+    """
+
+    def key(x):
+        if exact:
+            return x
+        norm = np.linalg.norm(x)
+        return x / norm if norm > 0 else x
+
+    def match(state, prev):
+        return np.array_equal(state, prev) if exact else np.linalg.norm(state - prev) < crit.epsilon
+
+    # only the window holds old states: x is rebound, the lag search is scoped
+    history = deque([key(x)], maxlen=crit.window)
+    for iteration in range(1, crit.max_iters + 1):
+        x = step(x)
+        state = key(x)
+        lag = next((k for k, prev in enumerate(reversed(history), 1) if match(state, prev)), None)
+        if lag is not None:
+            return RunReport(x, iteration, Outcome.of_lag(lag), lag)
+        history.append(state)
+    return RunReport(x, crit.max_iters, Outcome.BUDGET_EXHAUSTED)
+
+
 def run_serial(
     net: DhnNetwork,
     x0: np.ndarray,
@@ -394,18 +421,19 @@ def run_serial(
     ----------
     schedule : "cyclic" visits neurons 0..n-1 in order every sweep;
         "random" uses a fresh seeded permutation per sweep.
-    crit : only ``max_iters`` (sweep budget) is consulted here; stability is
-        an exact fixed-point check.
+    crit : only ``max_iters`` (the sweep budget) is read; the run stops at
+        the exact fixed point, whatever ``epsilon`` and ``window`` say.
     track_energy : record a per-step energy trace (classification only).
 
-    With symmetric weights, nonnegative diagonal and classification activation
+    ``iterations`` counts sweeps, the final unchanged sweep included.  With
+    symmetric weights, nonnegative diagonal and classification activation
     the run is guaranteed to reach a stable state; other configurations may
     terminate only through the budget.
     """
     crit = crit if crit is not None else ConvergenceCriterion()
     if schedule not in ("cyclic", "random"):
         raise ValueError(f"unknown schedule {schedule!r}")
-    x = np.array(x0, dtype=float)
+    x = np.asarray(x0, dtype=float)  # each sweep works on a copy
     if x.shape != (net.n, net.d):
         raise ValueError(f"state must be {net.n}x{net.d}, got {x.shape}")
     rng = np.random.default_rng(seed) if schedule == "random" else None
@@ -415,43 +443,24 @@ def run_serial(
         trace = [energy(net, x)]
     w_diag = net.weights.diagonal()
 
-    for sweep in range(1, crit.max_iters + 1):
-        order = rng.permutation(net.n) if rng is not None else range(net.n)
-        changed = False
-        for i in order:
+    def sweep(x):
+        x = x.copy()
+        for i in rng.permutation(net.n) if rng is not None else range(net.n):
             h = _row_preactivation(net, x, i)
             new_row = _serial_row(net.activation, h)
             if not np.array_equal(new_row, x[i]):
                 if trace is not None:
                     trace.append(trace[-1] + _row_update_energy_delta(h, x[i], new_row, w_diag[i]))
                 x[i] = new_row
-                changed = True
             elif trace is not None:
                 trace.append(trace[-1])
-        if not changed:
-            return RunReport(x, sweep, Outcome.STABLE, 1, trace, seed)
-    return RunReport(x, crit.max_iters, Outcome.BUDGET_EXHAUSTED, None, trace, seed)
+        return x
 
-
-def revisit_lag(
-    history: deque, state: np.ndarray, epsilon: float, exact: bool = False
-) -> Optional[int]:
-    """Lag (1 = newest) of the remembered state that ``state`` revisits, or None.
-
-    States match exactly when ``exact``, otherwise when their Frobenius
-    distance is below ``epsilon``.  A state that revisits nothing is appended
-    to ``history`` (a deque whose maxlen is the criterion's window).
-    """
-    for lag, prev in enumerate(reversed(history), start=1):
-        if np.array_equal(state, prev) if exact else np.linalg.norm(state - prev) < epsilon:
-            return lag
-    history.append(state)
-    return None
-
-
-def _direction(x: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(x)
-    return x / norm if norm > 0 else x
+    # Exact, against the previous state only: under schedule="random" the next
+    # sweep draws a fresh order, so a revisit at lag 2 or more is not a cycle.
+    report = iterate(sweep, x, replace(crit, window=1), exact=True)
+    report.energy_trace, report.schedule_seed = trace, seed
+    return report
 
 
 def run_parallel(
@@ -464,30 +473,25 @@ def run_parallel(
 
     Classification states are compared exactly; continuous states by the
     directional criterion ||X^(t) - X^(t-k)||_F < epsilon over k = 1..window,
-    where X^ is X normalized to unit Frobenius norm (see
-    ConvergenceCriterion).  A revisit at lag 1 is a stable state, lag 2 a
-    two-cycle; with symmetric weights classification runs never need more.
+    where X^ is X normalized to unit Frobenius norm (see ``iterate``).  A
+    revisit at lag 1 is a stable state, lag 2 a two-cycle; with symmetric
+    weights classification runs never need more.
     """
     crit = crit if crit is not None else ConvergenceCriterion()
-    x = np.array(x0, dtype=float)
+    x = np.asarray(x0, dtype=float)  # steps leave it unmodified, so no copy
     if x.shape != (net.n, net.d):
         raise ValueError(f"state must be {net.n}x{net.d}, got {x.shape}")
-    normalize = crit.resolved_normalize(net.activation)
-    exact = net.activation is Activation.CLASSIFICATION and not normalize
 
     trace = None
     if track_energy and net.activation is Activation.CLASSIFICATION:
         trace = [energy(net, x)]
 
-    def comparable(state):
-        return _direction(state) if normalize else state
-
-    history = deque([comparable(x)], maxlen=crit.window)
-    for step in range(1, crit.max_iters + 1):
+    def step(x):
         x = parallel_step(net, x)
         if trace is not None:
             trace.append(energy(net, x))
-        lag = revisit_lag(history, comparable(x), crit.epsilon, exact)
-        if lag is not None:
-            return RunReport(x, step, Outcome.of_lag(lag), lag, trace)
-    return RunReport(x, crit.max_iters, Outcome.BUDGET_EXHAUSTED, None, trace)
+        return x
+
+    report = iterate(step, x, crit, exact=net.activation is Activation.CLASSIFICATION)
+    report.energy_trace = trace
+    return report

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .clustering import Clustering, WeightedGraph, d_cut_value
-from .core import canonical_csr, max_asymmetry
+from .core import ConvergenceCriterion, canonical_csr, max_asymmetry
 from .modularity import modularity_score
 
 __all__ = [
@@ -64,6 +64,10 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}; choose one of {', '.join(METHODS)}")
         if self.dim < 1:
             raise ValueError("dimension must be positive")
+        self.criterion()  # rejects a bad epsilon, window or max_iters
+
+    def criterion(self) -> ConvergenceCriterion:
+        return ConvergenceCriterion(self.epsilon, self.window, self.max_iters)
 
 
 def load_edge_list(path, directed_reject: bool = False) -> WeightedGraph:
@@ -136,23 +140,29 @@ def write_edge_list(graph: WeightedGraph, path) -> None:
 def score_assignment(graph: WeightedGraph, assignment_by_label: dict) -> dict:
     """Re-score a stored label->cluster mapping on a graph.
 
-    Every graph node must be covered and every mapped label must exist; the
-    offending label is named otherwise.  Returns modularity and d-cut.
+    It must map every graph node, and no other label, to a non-negative int
+    (not a bool); the offending label is named otherwise.  Scores are taken on
+    the clusters renumbered by first appearance, so a huge index costs
+    nothing; ``clusters`` is the largest stored index plus one.
     """
+    if not isinstance(assignment_by_label, dict):
+        raise ValueError("the assignment must be a JSON object mapping node labels to clusters")
     labels = graph.labels()
     known = set(labels)
-    for label in assignment_by_label:
+    for label, value in assignment_by_label.items():
         if label not in known:
             raise ValueError(f"assignment mentions unknown node label {label!r}")
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ValueError(f"node label {label!r} has cluster {value!r}, not an int >= 0")
     missing = [label for label in labels if label not in assignment_by_label]
     if missing:
         raise ValueError(f"assignment does not cover node label {missing[0]!r}")
-    values = [int(assignment_by_label[label]) for label in labels]
-    clustering = Clustering(values, max(values) + 1)
+    values = [assignment_by_label[label] for label in labels]
+    clustering = Clustering(values, max(values) + 1).canonical()
     return {
         "modularity": modularity_score(graph, clustering),
         "d_cut": d_cut_value(graph, clustering),
-        "clusters": clustering.d,
+        "clusters": max(values) + 1,
     }
 
 

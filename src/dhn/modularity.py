@@ -10,7 +10,6 @@ runs in disguise.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,12 +20,11 @@ from .core import (
     Activation,
     ConvergenceCriterion,
     DhnNetwork,
-    Outcome,
     RunReport,
     WeightMatrix,
+    iterate,
     max_asymmetry,
     parallel_step,
-    revisit_lag,
     run_parallel,
 )
 
@@ -219,31 +217,34 @@ def _lms_sweeps(
     """
     vol = _positive_volume(graph)
     k = graph.degrees
-    labels = [int(a) for a in labels]
-    totals = np.bincount(labels, weights=k, minlength=d)
+    start = np.array([int(c) for c in labels])
+    totals = np.bincount(start, weights=k, minlength=d)
     trace = None
     if track_energy:
         w = graph.weights
         rows = np.repeat(np.arange(graph.n), np.diff(w.indptr))
-        a = np.asarray(labels)
-        inside = w.data[(a[rows] == a[w.indices]) & (rows != w.indices)].sum()
+        inside = w.data[(start[rows] == start[w.indices]) & (rows != w.indices)].sum()
         trace = [-(vol * inside - (totals @ totals - k @ k)) / vol**2]
     clusters = _ClusterDegrees(totals.tolist())
     csr, degrees = _csr_views(graph), memoryview(k)
-    for sweep in range(1, max_sweeps + 1):
-        moved = False
+
+    def sweep(state):
+        labels = state.tolist()
         for i in range(graph.n):
             k_i = degrees[i]
             target, gain = _best_move(i, labels, clusters, csr, vol, k_i)
             if target != labels[i]:
                 clusters.move(k_i, labels[i], target)
                 labels[i] = target
-                moved = True
             if trace is not None:
                 trace.append(trace[-1] - 2.0 * gain / vol**2)
-        if not moved:
-            return RunReport(np.array(labels), sweep, Outcome.STABLE, 1, trace)
-    return RunReport(np.array(labels), max_sweeps, Outcome.BUDGET_EXHAUSTED, None, trace)
+        return np.array(labels)
+
+    # the exact fixed point, as in run_serial
+    crit = ConvergenceCriterion(window=1, max_iters=max_sweeps)
+    report = iterate(sweep, start, crit, exact=True)
+    report.energy_trace = trace
+    return report
 
 
 def louvain_update(graph: WeightedGraph, c: Clustering, node: int) -> Clustering:
@@ -334,17 +335,15 @@ def power_method(
     norm = np.linalg.norm(v)
     if norm == 0.0:
         raise DegenerateSpectrumError("start vector is zero")
-    v = v / norm
-    history = deque([v], maxlen=crit.window)
-    for _ in range(crit.max_iters):
+
+    def step(v):
         w = m @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:
             raise DegenerateSpectrumError("iteration reached an exactly zero vector")
-        v = w / norm
-        if revisit_lag(history, v, crit.epsilon) is not None:
-            return v
-    return v
+        return w / norm
+
+    return iterate(step, v / norm, crit).final_state
 
 
 def newman_bisect(

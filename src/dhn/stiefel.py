@@ -9,20 +9,17 @@ method.
 
 from __future__ import annotations
 
-from collections import deque
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
-from .clustering import Clustering, WeightedGraph, clustering_from_matrix, clustering_to_matrix
+from .clustering import Clustering, WeightedGraph, clustering_to_matrix
 from .core import (
     Activation,
     ConvergenceCriterion,
     DhnNetwork,
-    Outcome,
-    RunReport,
-    classify_rows,
-    revisit_lag,
+    iterate,
     run_parallel,
     stiefel_project,
 )
@@ -54,14 +51,14 @@ def run_gnm(
     """Generalized Newman method: parallel frame iteration, then rowwise labels.
 
     Starts from the projection of a seeded uniform(-1, 1) matrix, iterates
-    X <- P(Q X) until the directional criterion fires, and classifies the rows
-    of the final frame.  Returns (Clustering, RunReport); the report's final
-    state is the frame itself.
+    X <- P(Q X) until the directional criterion fires, and labels each node by
+    the argmax of its row of the final frame (ties to the lowest index).
+    Returns (Clustering, RunReport); the report's final state is the frame.
     """
     net = _frame_network(graph, d)
     x0 = _initial_frame(graph.n, d, seed)
     report = run_parallel(net, x0, crit=crit, track_energy=False)
-    return clustering_from_matrix(classify_rows(report.final_state)), report
+    return Clustering(np.argmax(report.final_state, axis=1), d), report
 
 
 def run_sgnm(
@@ -80,24 +77,16 @@ def run_sgnm(
     """
     net = _frame_network(graph, d)
     crit = crit if crit is not None else ConvergenceCriterion()
-    x = _initial_frame(graph.n, d, seed)
 
-    def direction(state):
-        return state / np.linalg.norm(state)
-
-    history = deque([direction(x)], maxlen=crit.window)
-    outcome, cycle_length, sweeps = Outcome.BUDGET_EXHAUSTED, None, crit.max_iters
-    for sweep in range(1, crit.max_iters + 1):
+    def sweep(x):
+        x = x.copy()
         for i in range(graph.n):
             h = net.weights @ x  # zero bias
             x[i] = stiefel_project(h)[i]
-        x = stiefel_project(x)
-        lag = revisit_lag(history, direction(x), crit.epsilon)
-        if lag is not None:
-            outcome, cycle_length, sweeps = Outcome.of_lag(lag), lag, sweep
-            break
-    report = RunReport(x, sweeps, outcome, cycle_length)
-    return clustering_from_matrix(classify_rows(x)), report
+        return stiefel_project(x)
+
+    report = iterate(sweep, _initial_frame(graph.n, d, seed), crit)
+    return Clustering(np.argmax(report.final_state, axis=1), d), report
 
 
 def run_gnm_plus_lms(
@@ -116,10 +105,5 @@ def run_gnm_plus_lms(
     gnm_clustering, gnm_report = run_gnm(graph, d, seed=seed, crit=crit)
     sweep = _lms_sweeps(graph, gnm_clustering.assignment, d, 1, track_energy=False)
     clustering = Clustering(sweep.final_state, d)
-    report = RunReport(
-        final_state=clustering_to_matrix(clustering),
-        iterations=gnm_report.iterations + 1,
-        outcome=gnm_report.outcome,
-        cycle_length=gnm_report.cycle_length,
-    )
-    return clustering, report
+    final = clustering_to_matrix(clustering)
+    return clustering, replace(gnm_report, final_state=final, iterations=gnm_report.iterations + 1)

@@ -187,6 +187,24 @@ class TestScoreAssignment:
         scores = score_assignment(g, {"a": 0, "b": 1})
         assert scores["modularity"] == pytest.approx(-0.5, abs=1e-15)
 
+    def test_huge_cluster_index_is_scored_on_compact_labels(self):
+        # scoring on max + 1 clusters would allocate 10**15 cluster totals
+        g = karate_club()
+        c, _ = dhn.run_lms(g)
+        labels = g.labels()
+        compact = score_assignment(g, dict(zip(labels, c.assignment)))
+        spread = [10**15 if a == c.assignment[0] else a for a in c.assignment]
+        scores = score_assignment(g, dict(zip(labels, spread)))
+        assert scores["modularity"] == pytest.approx(compact["modularity"], abs=1e-12)
+        assert scores["d_cut"] == compact["d_cut"]
+        assert scores["clusters"] == 10**15 + 1
+
+    @pytest.mark.parametrize("value", [True, 1.0, -1, None, "0"])
+    def test_cluster_must_be_a_non_negative_int(self, value):
+        g = dhn.WeightedGraph([[0.0, 1.0], [1.0, 0.0]], node_labels=("a", "b"))
+        with pytest.raises(ValueError, match="'b'"):
+            score_assignment(g, {"a": 0, "b": value})
+
 
 def run_cli(args):
     return main([str(a) for a in args])
@@ -260,6 +278,24 @@ class TestClusterCommand:
         )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--dim", 0), ("--max-iters", 0), ("--window", 0)]
+        + [("--epsilon", e) for e in (-1, "nan", "inf")],
+    )
+    def test_out_of_range_flag_is_usage_error_before_reading_input(
+        self, tmp_path, capsys, flag, value
+    ):
+        # the input does not exist: reading it first would exit 4 with an OSError
+        out = tmp_path / "x.json"
+        code = run_cli(
+            ["cluster", "--method", "lms", flag, value, "--input", tmp_path / "absent.edges",
+             "--output", out]
+        )
+        assert code == 2
+        assert "absent.edges" not in capsys.readouterr().err
+        assert not out.exists()
+
     def test_same_seed_byte_identical_modulo_wall_time(self, tmp_path, karate_file):
         outs = []
         for name in ("a.json", "b.json"):
@@ -322,6 +358,22 @@ class TestEvalCommand:
         bogus = tmp_path / "bogus.json"
         bogus.write_text("{}")
         assert run_cli(["eval", "--input", karate_file, "--assignment", bogus]) == 4
+
+    @pytest.mark.parametrize("assignment", ["5", "null", "[0, 1]", '"0"'])
+    def test_assignment_that_is_no_mapping(self, tmp_path, karate_file, capsys, assignment):
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text(f'{{"assignment": {assignment}}}')
+        assert run_cli(["eval", "--input", karate_file, "--assignment", bogus]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["null", "[1]", "1.7", "1.0", "true", "-1", '"1"'])
+    def test_malformed_cluster_value_names_its_label(self, tmp_path, karate_file, capsys, value):
+        mapping = {label: 0 for label in karate_club().labels()}
+        text = json.dumps({"assignment": mapping}).replace('"7": 0', f'"7": {value}')
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text(text)
+        assert run_cli(["eval", "--input", karate_file, "--assignment", bogus]) == 4
+        assert "'7'" in capsys.readouterr().err
 
 
 class TestConsoleScript:
