@@ -11,7 +11,7 @@ import os
 import sys
 import time
 
-from .clustering import InstanceTooLargeError, WeightedGraph
+from .clustering import WeightedGraph
 from .embedding import run_cleora, write_embedding
 from .io import (
     METHODS,
@@ -23,7 +23,7 @@ from .io import (
     score_assignment,
     write_result,
 )
-from .modularity import DegenerateGraphError, DegenerateSpectrumError, newman_bisect, run_lms, run_plms
+from .modularity import DegenerateSpectrumError, newman_bisect, run_lms, run_plms
 from .stiefel import run_gnm, run_gnm_plus_lms, run_sgnm
 
 __all__ = ["cluster_command", "eval_command", "main"]
@@ -36,8 +36,6 @@ class UsageError(ValueError):
 
 
 def _check_config(config: RunConfig, graph: WeightedGraph) -> None:
-    if config.method == "newman" and config.dim != 2:
-        raise UsageError("method 'newman' always produces 2 clusters; use --dim 2")
     if config.method in ("gnm", "sgnm", "gnm-lms") and config.dim > graph.n:
         raise UsageError(
             f"method {config.method!r} needs --dim <= node count ({config.dim} > {graph.n})"
@@ -118,19 +116,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_seed(seed) -> int:
     if seed is not None:
         return seed
-    return int(os.environ.get("DHN_SEED", "0"))
+    text = os.environ.get("DHN_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"DHN_SEED must be an integer, got {text!r}") from None
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "cluster":
-            seed = _resolve_seed(args.seed)
-            try:  # out-of-range flags are usage errors, caught before the input is read
+            try:  # bad flags or DHN_SEED are usage errors, caught before the input is read
                 config = RunConfig(
                     method=args.method,
                     dim=args.dim,
-                    seed=seed,
+                    seed=_resolve_seed(args.seed),
                     epsilon=args.epsilon,
                     window=args.window,
                     max_iters=args.max_iters,
@@ -157,10 +158,7 @@ def main(argv=None) -> int:
     except EdgeListParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    except (DegenerateGraphError, DegenerateSpectrumError, InstanceTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return NUMERIC_ERROR
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, DegenerateSpectrumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
     return 0

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .core import Activation, DhnNetwork, canonical_csr, max_asymmetry
+from .core import _SYMMETRY_TOL, Activation, DhnNetwork, canonical_csr, max_asymmetry
 
 __all__ = [
     "Clustering",
@@ -55,12 +55,11 @@ class WeightedGraph:
     weights: sp.csr_array
     node_labels: Optional[tuple] = None
 
-    def __init__(self, weights, node_labels=None, check_symmetric=True, tol=1e-12):
+    def __init__(self, weights, node_labels=None):
         weights = canonical_csr(weights)
-        if check_symmetric:
-            asym = max_asymmetry(weights)
-            if asym > tol:
-                raise ValueError(f"edge weight matrix is asymmetric: max |W - Wt| = {asym:g}")
+        asym = max_asymmetry(weights)
+        if asym > _SYMMETRY_TOL:
+            raise ValueError(f"edge weight matrix is asymmetric: max |W - Wt| = {asym:g}")
         if node_labels is not None:
             node_labels = tuple(str(l) for l in node_labels)
             if len(node_labels) != weights.shape[0]:
@@ -107,13 +106,6 @@ class Clustering:
     @property
     def n(self) -> int:
         return len(self.assignment)
-
-    def clusters(self) -> list:
-        """Node sets c_0..c_{d-1}, possibly empty."""
-        out = [set() for _ in range(self.d)]
-        for node, a in enumerate(self.assignment):
-            out[a].add(node)
-        return out
 
     def canonical(self) -> "Clustering":
         """Relabel clusters by first occurrence: node 0's cluster becomes 0, etc.
@@ -210,7 +202,7 @@ def build_extended_graph(weights, bias, coupling) -> ExtendedGraph:
     base = WeightedGraph(weights)  # symmetry check included
     if coupling.ndim != 2 or coupling.shape[0] != coupling.shape[1]:
         raise ValueError("coupling matrix must be square")
-    if coupling.size and float(np.max(np.abs(coupling - coupling.T))) > 1e-12:
+    if coupling.size and float(np.max(np.abs(coupling - coupling.T))) > _SYMMETRY_TOL:
         raise ValueError("coupling matrix must be symmetric")
     if bias.shape != (base.n, coupling.shape[0]):
         raise ValueError(

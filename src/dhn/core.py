@@ -42,6 +42,9 @@ __all__ = [
 # normalizer, so near-underflow rows cannot blow up.
 _ZERO_ROW_NORM = 1e-300
 
+# Largest |W_ij - W_ji| that counts as symmetric for graphs and networks.
+_SYMMETRY_TOL = 1e-12
+
 
 class Activation(Enum):
     """Activation kinds a network can carry.
@@ -193,10 +196,6 @@ class WeightMatrix:
         s = s - sp.diags_array(self.vector * (self.coef * self.vector))
         return WeightMatrix(s, self.vector, self.coef)
 
-    def max_asymmetry(self) -> float:
-        """max |W - Wt|; the rank-one term is symmetric by construction."""
-        return max_asymmetry(self.sparse)
-
     def toarray(self) -> np.ndarray:
         """Dense n x n copy, for exhaustive oracles and reference checks."""
         return self.sparse.toarray() + np.multiply.outer(self.vector, self.coef * self.vector)
@@ -236,15 +235,16 @@ class DhnNetwork:
     def d(self) -> int:
         return self.bias.shape[1]
 
-    def validate_energy_hypotheses(self, tol: float = 1e-12) -> None:
+    def validate_energy_hypotheses(self) -> None:
         """Check the hypotheses behind the serial-convergence guarantee.
 
-        Weights must be symmetric within ``tol`` and have a nonnegative
+        Weights must be symmetric (to rounding) and have a nonnegative
         diagonal.  Raises ValueError otherwise.  Runs on networks failing this
         check carry no convergence guarantee and may only stop on budget.
         """
-        max_asym = self.weights.max_asymmetry()
-        if max_asym > tol:
+        # the rank-one term is symmetric by construction
+        max_asym = max_asymmetry(self.weights.sparse)
+        if max_asym > _SYMMETRY_TOL:
             raise ValueError(f"weights are asymmetric: max |W - Wt| = {max_asym:g}")
         if np.any(self.weights.diagonal() < 0):
             raise ValueError("weights have a negative diagonal entry")
@@ -413,7 +413,6 @@ def run_serial(
     schedule: str = "cyclic",
     crit: Optional[ConvergenceCriterion] = None,
     seed: Optional[int] = None,
-    track_energy: bool = True,
 ) -> RunReport:
     """Run serial sweeps until one full sweep changes no row.
 
@@ -423,7 +422,6 @@ def run_serial(
         "random" uses a fresh seeded permutation per sweep.
     crit : only ``max_iters`` (the sweep budget) is read; the run stops at
         the exact fixed point, whatever ``epsilon`` and ``window`` say.
-    track_energy : record a per-step energy trace (classification only).
 
     ``iterations`` counts sweeps, the final unchanged sweep included.  With
     symmetric weights, nonnegative diagonal and classification activation
@@ -438,9 +436,7 @@ def run_serial(
         raise ValueError(f"state must be {net.n}x{net.d}, got {x.shape}")
     rng = np.random.default_rng(seed) if schedule == "random" else None
 
-    trace = None
-    if track_energy and net.activation is Activation.CLASSIFICATION:
-        trace = [energy(net, x)]
+    trace = [energy(net, x)] if net.activation is Activation.CLASSIFICATION else None
     w_diag = net.weights.diagonal()
 
     def sweep(x):
@@ -467,7 +463,6 @@ def run_parallel(
     net: DhnNetwork,
     x0: np.ndarray,
     crit: Optional[ConvergenceCriterion] = None,
-    track_energy: bool = True,
 ) -> RunReport:
     """Run parallel steps until the state revisits one of the last few states.
 
@@ -482,9 +477,7 @@ def run_parallel(
     if x.shape != (net.n, net.d):
         raise ValueError(f"state must be {net.n}x{net.d}, got {x.shape}")
 
-    trace = None
-    if track_energy and net.activation is Activation.CLASSIFICATION:
-        trace = [energy(net, x)]
+    trace = [energy(net, x)] if net.activation is Activation.CLASSIFICATION else None
 
     def step(x):
         x = parallel_step(net, x)

@@ -64,6 +64,8 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}; choose one of {', '.join(METHODS)}")
         if self.dim < 1:
             raise ValueError("dimension must be positive")
+        if self.method == "newman" and self.dim != 2:
+            raise ValueError("method 'newman' always produces 2 clusters; use --dim 2")
         self.criterion()  # rejects a bad epsilon, window or max_iters
 
     def criterion(self) -> ConvergenceCriterion:

@@ -23,7 +23,6 @@ from .core import (
     RunReport,
     WeightMatrix,
     iterate,
-    max_asymmetry,
     parallel_step,
     run_parallel,
 )
@@ -276,9 +275,6 @@ def run_lms(graph: WeightedGraph, crit: Optional[ConvergenceCriterion] = None) -
     cyclically until no move improves modularity.  Returns (Clustering,
     RunReport); the report's final state is the length-n label vector.
     """
-    asym = max_asymmetry(graph.weights)
-    if asym > 1e-12:  # the convergence guarantee needs symmetric weights
-        raise ValueError(f"weights are asymmetric: max |W - Wt| = {asym:g}")
     crit = crit if crit is not None else ConvergenceCriterion()
     report = _lms_sweeps(graph, range(graph.n), graph.n, crit.max_iters, track_energy=True)
     return Clustering(report.final_state, graph.n), report

@@ -31,8 +31,6 @@ __all__ = ["run_gnm", "run_gnm_plus_lms", "run_sgnm", "stiefel_project"]
 def _frame_network(graph: WeightedGraph, d: int) -> DhnNetwork:
     if d < 1:
         raise ValueError("frame dimension d must be positive")
-    if d > graph.n:
-        raise ValueError(f"no orthonormal {d}-frame exists in R^{graph.n} (d > n)")
     q = modularity_matrix(graph).q
     return DhnNetwork(q, np.zeros((graph.n, d)), Activation.STIEFEL_PROJECTION)
 
@@ -57,7 +55,7 @@ def run_gnm(
     """
     net = _frame_network(graph, d)
     x0 = _initial_frame(graph.n, d, seed)
-    report = run_parallel(net, x0, crit=crit, track_energy=False)
+    report = run_parallel(net, x0, crit=crit)
     return Clustering(np.argmax(report.final_state, axis=1), d), report
 
 

@@ -17,6 +17,8 @@ class TestTypes:
     def test_graph_rejects_asymmetry(self):
         with pytest.raises(ValueError):
             dhn.WeightedGraph([[0.0, 1.0], [0.5, 0.0]])
+        with pytest.raises(ValueError, match="asymmetric"):
+            dhn.WeightedGraph([[0.0, 1.0], [2.0, 0.0]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_graph_rejects_non_finite_weights(self, bad):

@@ -300,8 +300,8 @@ class TestOperatorWeights:
             operator = dhn.DhnNetwork(dhn.modularity_matrix(g).q, zeros, frame)
             dense = dhn.DhnNetwork(dense_modularity(g), zeros, frame)
             x0 = dhn.stiefel_project(rng.uniform(-1.0, 1.0, size=(g.n, d)))
-            po = dhn.run_parallel(operator, x0, crit=crit, track_energy=False)
-            pd = dhn.run_parallel(dense, x0, crit=crit, track_energy=False)
+            po = dhn.run_parallel(operator, x0, crit=crit)
+            pd = dhn.run_parallel(dense, x0, crit=crit)
             assert np.allclose(po.final_state, pd.final_state, rtol=0.0, atol=1e-9)
             labels = dhn.classify_rows(po.final_state)
             assert np.array_equal(labels, dhn.classify_rows(pd.final_state))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import dhn
 from dhn.cli import main
 from dhn.graphs import disjoint_pairs_graph, karate_club
 from dhn.io import (
+    METHODS,
     EdgeListParseError,
     RunConfig,
     load_edge_list,
@@ -146,6 +149,35 @@ class TestEdgeListRoundTrip:
             assert np.array_equal(getattr(loaded.weights, part), getattr(g.weights, part))
 
 
+@st.composite
+def edge_lists_with_a_bad_line(draw):
+    """Valid edge lines with one malformed line at a drawn position: (text, its line number)."""
+    edges = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 9))
+    lines = [f"n{u} n{v} {w}" for u, v, w in draw(st.lists(edges, min_size=1, max_size=8))]
+    wrong_count = st.integers(1, 6).filter(lambda k: k not in (2, 3)).map(lambda k: " ".join("t" * k))
+    bad_weight = st.sampled_from(["x", "one", "1.0.0", "0x10", "nan", "NaN", "inf", "-inf", "1e400"])
+    bad = draw(st.one_of(wrong_count, bad_weight.map(lambda w: f"a b {w}")))
+    position = draw(st.integers(0, len(lines)))
+    lines.insert(position, bad)
+    return "\n".join(lines) + "\n", position + 1
+
+
+class TestExitCodeContract:
+    @settings(max_examples=50, deadline=None)
+    @given(edge_lists_with_a_bad_line(), st.sampled_from(METHODS))
+    def test_malformed_line_exits_3_naming_it(self, tmp_path_factory, case, method):
+        text, line_number = case
+        folder = tmp_path_factory.mktemp("bad")
+        path, out = folder / "g.edges", folder / "x.json"
+        path.write_text(text)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["cluster", "--method", method, "--input", str(path), "--output", str(out)])
+        assert code == 3
+        assert f"line {line_number}:" in stderr.getvalue()
+        assert not out.exists()
+
+
 class TestLabelRenaming:
     def test_renamed_labels_same_partition_and_scores(self, tmp_path):
         # renaming labels while keeping line order relabels the output only
@@ -245,6 +277,15 @@ class TestClusterCommand:
         )
         assert code == 2
 
+    def test_newman_dim_mismatch_is_usage_error_before_reading_input(self, tmp_path):
+        out = tmp_path / "x.json"
+        code = run_cli(
+            ["cluster", "--method", "newman", "--dim", 3, "--input", tmp_path / "absent.edges",
+             "--output", out]
+        )
+        assert code == 2
+        assert not out.exists()
+
     def test_gnm_dim_too_large_is_usage_error(self, tmp_path):
         pairs = tmp_path / "pairs.edges"
         write_edge_list(disjoint_pairs_graph(2), pairs)
@@ -323,6 +364,17 @@ class TestClusterCommand:
         da, db = load_result(a), load_result(b)
         assert da["assignment"] == db["assignment"]
         assert da["config"]["seed"] == 5
+
+    def test_malformed_env_seed_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DHN_SEED", "abc")
+        out = tmp_path / "x.json"
+        code = run_cli(
+            ["cluster", "--method", "lms", "--input", tmp_path / "absent.edges", "--output", out]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "DHN_SEED" in err and "'abc'" in err
+        assert not out.exists()
 
     def test_cleora_writes_embedding(self, tmp_path, karate_file):
         out = tmp_path / "cleora.json"
