@@ -295,11 +295,6 @@ class RunReport:
     schedule_seed: Optional[int] = None
 
 
-def preactivation(net: DhnNetwork, x: np.ndarray) -> np.ndarray:
-    """H = W X + B for the full state matrix."""
-    return net.weights @ np.asarray(x, dtype=float) + net.bias
-
-
 def _row_preactivation(net: DhnNetwork, x: np.ndarray, i: int) -> np.ndarray:
     return net.weights.row(x, i) + net.bias[i]
 
@@ -341,7 +336,7 @@ def serial_step(net: DhnNetwork, x: np.ndarray, neuron: int) -> np.ndarray:
 
 def parallel_step(net: DhnNetwork, x: np.ndarray) -> np.ndarray:
     """Update all neurons simultaneously: activation(W X + B)."""
-    return _apply_matrix(net.activation, preactivation(net, x))
+    return _apply_matrix(net.activation, net.weights @ np.asarray(x, dtype=float) + net.bias)
 
 
 def energy(net: DhnNetwork, x: np.ndarray) -> float:
@@ -363,7 +358,7 @@ def energy_delta(net: DhnNetwork, x: np.ndarray, delta: np.ndarray) -> float:
     """
     x = np.asarray(x, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    h = preactivation(net, x)
+    h = net.weights @ x + net.bias
     wd = net.weights @ delta
     return float(-2.0 * np.sum(delta * h) - np.sum(delta * wd))
 

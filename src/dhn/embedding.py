@@ -29,12 +29,14 @@ def run_cleora(
     The n x d start matrix has i.i.d. uniform(-1, 1) entries drawn from
     ``seed``; each of the ``iters`` steps computes l2_normalize_rows(W X).
     With iters = 0 the start matrix is returned unchanged.  Rows that become
-    exactly zero stay zero.
+    exactly zero stay zero, but a graph with no nonzero weight raises ValueError.
     """
     if d < 1:
         raise ValueError("embedding dimension d must be positive")
     if iters < 0:
         raise ValueError("iteration count must be nonnegative")
+    if iters >= 1 and graph.weights.nnz == 0:
+        raise ValueError("the graph has no nonzero weight: every propagated row would be zero")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=(graph.n, d))
     for _ in range(iters):

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .clustering import Clustering, WeightedGraph, d_cut_value
-from .core import ConvergenceCriterion, canonical_csr, max_asymmetry
+from .core import ConvergenceCriterion, RunReport, canonical_csr, max_asymmetry
 from .modularity import modularity_score
 
 __all__ = [
@@ -52,9 +52,9 @@ class RunConfig:
     method: str
     dim: int = 2
     seed: int = 0
-    epsilon: float = 1e-8
-    window: int = 2
-    max_iters: int = 1000
+    epsilon: float = ConvergenceCriterion.epsilon
+    window: int = ConvergenceCriterion.window
+    max_iters: int = ConvergenceCriterion.max_iters
     input: str = ""
     output: str = ""
     directed_reject: bool = False
@@ -173,37 +173,31 @@ def result_document(
     graph: WeightedGraph,
     clustering: Optional[Clustering],
     embedding_path: Optional[str],
-    iterations: Optional[int],
-    outcome: Optional[str],
-    energy_trace,
+    report: Optional[RunReport],
     wall_time_s: float,
 ) -> dict:
     """Assemble the result document with a fixed field order."""
-    assignment = None
-    modularity = None
-    d_cut = None
+    assignment = modularity = d_cut = None
     if clustering is not None:
         assignment = dict(zip(graph.labels(), (int(a) for a in clustering.assignment)))
         modularity = modularity_score(graph, clustering)
         d_cut = d_cut_value(graph, clustering)
+    # newman and cleora run without a report; cleora's iterations are its propagations
+    iterations = config.max_iters if config.method == "cleora" else None
+    outcome = energy_trace = None
+    if report is not None:
+        iterations, outcome = report.iterations, report.outcome.value
+        energy_trace = report.energy_trace
     return {
         "format_version": RESULT_FORMAT_VERSION,
         "method": config.method,
-        "config": {
-            "dim": config.dim,
-            "seed": config.seed,
-            "epsilon": config.epsilon,
-            "window": config.window,
-            "max_iters": config.max_iters,
-            "input": config.input,
-            "directed_reject": config.directed_reject,
-        },
+        "config": {k: v for k, v in asdict(config).items() if k not in ("method", "output")},
         "n_nodes": graph.n,
         "assignment": assignment,
         "embedding_path": embedding_path,
         "modularity": modularity,
         "d_cut": d_cut,
-        "energy_trace": list(energy_trace) if energy_trace is not None else None,
+        "energy_trace": energy_trace,
         "iterations": iterations,
         "outcome": outcome,
         "wall_time_s": wall_time_s,

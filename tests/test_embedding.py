@@ -80,6 +80,20 @@ class TestRunCleora:
         with pytest.raises(ValueError):
             run_cleora(g, 2, iters=-1)
 
+    def test_graph_without_nonzero_weight_rejected(self):
+        empty = dhn.WeightedGraph(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="no nonzero weight"):
+            run_cleora(empty, 2, iters=1, seed=0)
+        # no propagation step, so the start matrix is still returned
+        start = np.random.default_rng(0).uniform(-1, 1, size=(3, 2))
+        assert np.array_equal(run_cleora(empty, 2, iters=0, seed=0), start)
+
+    def test_isolated_node_keeps_its_zero_row(self):
+        g = dhn.WeightedGraph([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        x = run_cleora(g, 3, iters=2, seed=1)
+        assert np.array_equal(x[2], np.zeros(3))
+        assert np.allclose(np.linalg.norm(x[:2], axis=1), 1.0, atol=1e-12)
+
 
 def reference_write_embedding(path, embedding, labels=None):
     """The per-value writer the row template replaced: the byte-identity reference."""

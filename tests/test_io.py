@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dhn
-from dhn.cli import main
+from dhn import cli
+from dhn.cli import cluster_command, main
+from dhn.embedding import run_cleora, write_embedding
 from dhn.graphs import disjoint_pairs_graph, karate_club
 from dhn.io import (
     METHODS,
@@ -22,6 +24,8 @@ from dhn.io import (
     write_edge_list,
     write_result,
 )
+from dhn.modularity import newman_bisect, run_lms, run_plms
+from dhn.stiefel import run_gnm, run_gnm_plus_lms, run_sgnm
 
 
 def write(tmp_path, text, name="graph.edges"):
@@ -178,6 +182,51 @@ class TestExitCodeContract:
         assert not out.exists()
 
 
+@st.composite
+def nonpositive_edge_lists(draw):
+    """Edge lines over at least 2 nodes, every weight an integer in -3..0."""
+    weight = st.integers(-3, 0)
+    edges = st.tuples(st.integers(0, 5), st.integers(0, 5), weight)
+    lines = [f"n{u} n{v} {w}" for u, v, w in [(0, 1, draw(weight)), *draw(st.lists(edges))]]
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@st.composite
+def cancelling_edge_lists(draw):
+    """Edge lines over at least 2 nodes in which each record has a record of opposite weight."""
+    weight = st.integers(-3, 3).filter(bool)
+    edges = st.tuples(st.integers(0, 5), st.integers(0, 5), weight)
+    records = [(0, 1, draw(weight)), *draw(st.lists(edges, max_size=6))]
+    lines = [f"n{u} n{v} {w}" for u, v, w in records]
+    lines += [f"n{v} n{u} {-w}" for u, v, w in records]
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+def run_cli_quietly(method, text, folder):
+    path, out = folder / "g.edges", folder / "x.json"
+    path.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["cluster", "--method", method, "--input", str(path), "--output", str(out)])
+    return code, out
+
+
+class TestNumericExitContract:
+    @settings(max_examples=50, deadline=None)
+    @given(nonpositive_edge_lists(), st.sampled_from([m for m in METHODS if m != "cleora"]))
+    def test_nonpositive_volume_exits_4_without_output(self, tmp_path_factory, text, method):
+        code, out = run_cli_quietly(method, text, tmp_path_factory.mktemp("vol"))
+        assert code == 4
+        assert not out.exists()
+
+    @settings(max_examples=50, deadline=None)
+    @given(cancelling_edge_lists())
+    def test_cleora_without_nonzero_weight_exits_4_without_output(self, tmp_path_factory, text):
+        code, out = run_cli_quietly("cleora", text, tmp_path_factory.mktemp("zero"))
+        assert code == 4
+        assert not out.exists()
+        assert not out.with_name(out.name + ".emb").exists()
+
+
 class TestLabelRenaming:
     def test_renamed_labels_same_partition_and_scores(self, tmp_path):
         # renaming labels while keeping line order relabels the output only
@@ -319,6 +368,17 @@ class TestClusterCommand:
         )
         assert code == 4
 
+    def test_cleora_without_nonzero_weight_exits_4_without_output(self, tmp_path, capsys):
+        zero = write(tmp_path, "a b 1\na b -1\n")
+        out = tmp_path / "x.json"
+        code = run_cli(
+            ["cluster", "--method", "cleora", "--dim", 3, "--input", zero, "--output", out]
+        )
+        assert code == 4
+        assert "no nonzero weight" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "x.json.emb").exists()
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--dim", 0), ("--max-iters", 0), ("--window", 0)]
@@ -387,6 +447,76 @@ class TestClusterCommand:
         emb_lines = (tmp_path / "cleora.json.emb").read_text().strip().split("\n")
         assert len(emb_lines) == 34
         assert len(emb_lines[0].split()) == 9
+
+
+# The library call that `dhn cluster` must make for each method, with dim 3 and seed 5
+DIRECT_RUNS = {
+    "lms": lambda g, crit: run_lms(g, crit=crit),
+    "plms": lambda g, crit: run_plms(g, 3, seed=5, crit=crit),
+    "gnm": lambda g, crit: run_gnm(g, 3, seed=5, crit=crit),
+    "sgnm": lambda g, crit: run_sgnm(g, 3, seed=5, crit=crit),
+    "gnm-lms": lambda g, crit: run_gnm_plus_lms(g, 3, seed=5, crit=crit),
+    "newman": lambda g, crit: (newman_bisect(g, seed=5, crit=crit), None),
+}
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("method", sorted(DIRECT_RUNS))
+    def test_document_equals_the_direct_library_call(self, method):
+        g = karate_club()
+        dim = 2 if method == "newman" else 3
+        config = RunConfig(method=method, dim=dim, seed=5, epsilon=1e-6, window=3, max_iters=40)
+        document = cluster_command(config, g)
+        clustering, report = DIRECT_RUNS[method](g, config.criterion())
+        assert document["assignment"] == dict(zip(g.labels(), map(int, clustering.assignment)))
+        if report is None:
+            assert (document["iterations"], document["outcome"], document["energy_trace"]) == (
+                None, None, None
+            )
+        else:
+            assert document["iterations"] == report.iterations
+            assert document["outcome"] == report.outcome.value
+            assert document["energy_trace"] == report.energy_trace
+
+    @pytest.mark.parametrize(
+        "method, name",
+        [("plms", "run_plms"), ("gnm", "run_gnm"), ("sgnm", "run_sgnm"),
+         ("gnm-lms", "run_gnm_plus_lms")],
+    )
+    def test_runner_is_called_through_its_cli_module_name(self, monkeypatch, method, name):
+        # perfbench's layer tracer times a runner by replacing its name on dhn.cli
+        original, seen = getattr(cli, name), []
+        monkeypatch.setattr(cli, name, lambda *a, **k: seen.append(name) or original(*a, **k))
+        cluster_command(RunConfig(method=method, dim=3, max_iters=5), karate_club())
+        assert seen == [name]
+
+    def test_cleora_embedding_equals_the_direct_library_call(self, tmp_path):
+        g = karate_club()
+        config = RunConfig(method="cleora", dim=3, seed=5, max_iters=4, output=str(tmp_path / "c"))
+        document = cluster_command(config, g)
+        direct = tmp_path / "direct.emb"
+        write_embedding(direct, run_cleora(g, 3, iters=4, seed=5), labels=g.labels())
+        assert document["embedding_path"] == config.output + ".emb"
+        assert (tmp_path / "c.emb").read_bytes() == direct.read_bytes()
+        assert (document["iterations"], document["outcome"], document["energy_trace"]) == (
+            4, None, None
+        )
+
+    def test_omitted_flags_record_the_defaults(self, tmp_path, karate_file, monkeypatch):
+        monkeypatch.delenv("DHN_SEED", raising=False)
+        out = tmp_path / "defaults.json"
+        code = run_cli(["cluster", "--method", "plms", "--input", karate_file, "--output", out])
+        assert code == 0
+        config = load_result(out)["config"]
+        assert config == {
+            "dim": 2,
+            "seed": 0,
+            "epsilon": 1e-8,
+            "window": 2,
+            "max_iters": 1000,
+            "input": str(karate_file),
+            "directed_reject": False,
+        }
 
 
 class TestEvalCommand:
