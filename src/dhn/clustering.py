@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .core import _SYMMETRY_TOL, Activation, DhnNetwork, canonical_csr, max_asymmetry
+from .core import Activation, DhnNetwork, canonical_csr, max_asymmetry
 
 __all__ = [
     "Clustering",
@@ -34,6 +34,9 @@ __all__ = [
     "stable_states_census",
     "validate_clustering_matrix",
 ]
+
+# Largest |W_ij - W_ji| that counts as symmetric for graphs and couplings.
+_SYMMETRY_TOL = 1e-12
 
 # Exhaustive oracles refuse instances with more than this many assignments.
 ENUMERATION_LIMIT = 10_000_000

@@ -42,9 +42,6 @@ __all__ = [
 # normalizer, so near-underflow rows cannot blow up.
 _ZERO_ROW_NORM = 1e-300
 
-# Largest |W_ij - W_ji| that counts as symmetric for graphs and networks.
-_SYMMETRY_TOL = 1e-12
-
 
 class Activation(Enum):
     """Activation kinds a network can carry.
@@ -206,9 +203,9 @@ class DhnNetwork:
     """A d-dimensional Hopfield network with n neurons: (weights, bias, activation).
 
     ``weights`` is n x n, given as a WeightMatrix or as any dense or sparse
-    matrix (converted to one); ``bias`` is n x d.  Instances are treated as
-    immutable; all dynamics functions are pure and safe to share across
-    threads.
+    matrix (converted to one); ``bias`` is n x d with d >= 1.  Instances are
+    treated as immutable; all dynamics functions are pure and safe to share
+    across threads.
     """
 
     weights: WeightMatrix
@@ -219,8 +216,8 @@ class DhnNetwork:
         if not isinstance(self.weights, WeightMatrix):
             object.__setattr__(self, "weights", WeightMatrix(self.weights))
         bias = np.asarray(self.bias, dtype=float)
-        if bias.ndim != 2:
-            raise ValueError("bias must be an n x d matrix")
+        if bias.ndim != 2 or bias.shape[1] < 1:
+            raise ValueError("bias must be an n x d matrix with d >= 1")
         object.__setattr__(self, "bias", bias)
         if self.weights.n != bias.shape[0]:
             raise ValueError(f"weights are {self.n}x{self.n} but bias has {bias.shape[0]} rows")
@@ -234,20 +231,6 @@ class DhnNetwork:
     @property
     def d(self) -> int:
         return self.bias.shape[1]
-
-    def validate_energy_hypotheses(self) -> None:
-        """Check the hypotheses behind the serial-convergence guarantee.
-
-        Weights must be symmetric (to rounding) and have a nonnegative
-        diagonal.  Raises ValueError otherwise.  Runs on networks failing this
-        check carry no convergence guarantee and may only stop on budget.
-        """
-        # the rank-one term is symmetric by construction
-        max_asym = max_asymmetry(self.weights.sparse)
-        if max_asym > _SYMMETRY_TOL:
-            raise ValueError(f"weights are asymmetric: max |W - Wt| = {max_asym:g}")
-        if np.any(self.weights.diagonal() < 0):
-            raise ValueError("weights have a negative diagonal entry")
 
 
 @dataclass(frozen=True)

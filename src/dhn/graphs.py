@@ -14,7 +14,6 @@ import scipy.sparse as sp
 from .clustering import WeightedGraph
 
 __all__ = [
-    "barbell_graph",
     "disjoint_pairs_graph",
     "karate_club",
     "ring_graph",
@@ -47,11 +46,11 @@ KARATE_NODE_ORDER = (
 )
 
 
-def _from_edges(n: int, edges, weight: float = 1.0, node_labels=None) -> WeightedGraph:
-    """Graph whose every listed edge adds ``weight`` in both directions."""
+def _from_edges(n: int, edges, node_labels=None) -> WeightedGraph:
+    """Graph whose every listed edge adds weight 1 in both directions."""
     u, v = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
     rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-    w = sp.coo_array((np.full(rows.size, float(weight)), (rows, cols)), shape=(n, n))
+    w = sp.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
     return WeightedGraph(w, node_labels=node_labels)
 
 
@@ -66,7 +65,7 @@ def karate_club() -> WeightedGraph:
     return _from_edges(34, edges, node_labels=[str(m) for m in KARATE_NODE_ORDER])
 
 
-def disjoint_pairs_graph(pairs: int = 2, weight: float = 1.0) -> WeightedGraph:
+def disjoint_pairs_graph(pairs: int = 2) -> WeightedGraph:
     """``pairs`` disjoint unit edges: nodes (0,1), (2,3), ...
 
     The 2-pair case is the smallest graph with an unambiguous best
@@ -74,32 +73,14 @@ def disjoint_pairs_graph(pairs: int = 2, weight: float = 1.0) -> WeightedGraph:
     """
     if pairs < 1:
         raise ValueError("need at least one pair")
-    return _from_edges(2 * pairs, [(2 * k, 2 * k + 1) for k in range(pairs)], weight)
+    return _from_edges(2 * pairs, [(2 * k, 2 * k + 1) for k in range(pairs)])
 
 
-def ring_graph(n: int, weight: float = 1.0) -> WeightedGraph:
+def ring_graph(n: int) -> WeightedGraph:
     """Cycle on n nodes."""
     if n < 3:
         raise ValueError("a ring needs at least 3 nodes")
-    return _from_edges(n, [(i, (i + 1) % n) for i in range(n)], weight)
-
-
-def barbell_graph(clique: int, bridge: int = 1) -> WeightedGraph:
-    """Two ``clique``-cliques joined by a path of ``bridge`` edges."""
-    if clique < 2:
-        raise ValueError("cliques need at least 2 nodes")
-    if bridge < 1:
-        raise ValueError("the bridge needs at least one edge")
-    path_nodes = bridge - 1
-    n = 2 * clique + path_nodes
-    edges = []
-    left = range(clique)
-    right = range(clique + path_nodes, n)
-    for block in (left, right):
-        edges.extend((i, j) for i in block for j in block if i < j)
-    chain = [clique - 1, *range(clique, clique + path_nodes), clique + path_nodes]
-    edges.extend(zip(chain[:-1], chain[1:]))
-    return _from_edges(n, edges)
+    return _from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def two_component_graph(

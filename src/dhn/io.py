@@ -19,6 +19,7 @@ import scipy.sparse as sp
 
 from .clustering import Clustering, WeightedGraph, d_cut_value
 from .core import ConvergenceCriterion, RunReport, canonical_csr, max_asymmetry
+from .embedding import CLEORA_ITERS
 from .modularity import modularity_score
 
 __all__ = [
@@ -54,7 +55,7 @@ class RunConfig:
     seed: int = 0
     epsilon: float = ConvergenceCriterion.epsilon
     window: int = ConvergenceCriterion.window
-    max_iters: int = ConvergenceCriterion.max_iters
+    max_iters: Optional[int] = None  # the stopping budget; cleora's propagation count
     input: str = ""
     output: str = ""
     directed_reject: bool = False
@@ -62,6 +63,9 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose one of {', '.join(METHODS)}")
+        if self.max_iters is None:
+            default = CLEORA_ITERS if self.method == "cleora" else ConvergenceCriterion.max_iters
+            object.__setattr__(self, "max_iters", default)
         if self.dim < 1:
             raise ValueError("dimension must be positive")
         if self.method == "newman" and self.dim != 2:

@@ -96,17 +96,13 @@ def modularity_score(graph: WeightedGraph, c: Clustering) -> float:
     return float(np.sum(inside / vol - (totals / vol) ** 2))
 
 
-def build_lms_network(graph: WeightedGraph, d: Optional[int] = None) -> DhnNetwork:
+def build_lms_network(graph: WeightedGraph, d: int) -> DhnNetwork:
     """The classification network whose serial dynamics is greedy modularity search.
 
     Weights are Q with the diagonal zeroed (symmetric, nonnegative diagonal),
-    bias is zero.  State dimension d defaults to n, one potential cluster per
-    node.
+    bias is the n x d zero matrix: d potential clusters.
     """
     mm = modularity_matrix(graph)
-    d = graph.n if d is None else int(d)
-    if d < 1:
-        raise ValueError("state dimension d must be positive")
     return DhnNetwork(mm.q.zero_diagonal(), np.zeros((graph.n, d)), Activation.CLASSIFICATION)
 
 
@@ -291,8 +287,6 @@ def run_plms(
     Parallel classification runs on symmetric weights end in a stable state or
     a two-cycle; on a two-cycle the higher-modularity cycle state is returned.
     """
-    if d < 1:
-        raise ValueError("cluster count d must be positive")
     net = build_lms_network(graph, d)
     rng = np.random.default_rng(seed)
     x0 = clustering_to_matrix(Clustering(rng.integers(0, d, size=graph.n), d))
@@ -309,28 +303,23 @@ def power_method(
     m,
     seed: Optional[int] = None,
     crit: Optional[ConvergenceCriterion] = None,
-    v0: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Dominant eigendirection of a symmetric matrix by normalized iteration.
 
     Iterates v <- M v / ||M v||_2 until the direction revisits one of the last
     ``crit.window`` directions within ``crit.epsilon`` (a lag-2 revisit covers
     the sign-alternating case of a negative dominant eigenvalue).  The start
-    vector is drawn uniformly from (-1, 1)^n under ``seed`` unless ``v0`` is
-    given.  ``m`` is a WeightMatrix or any dense or sparse matrix.  Exactly
-    zero products raise DegenerateSpectrumError.
+    vector is drawn uniformly from (-1, 1)^n under ``seed``.  ``m`` is a
+    WeightMatrix or any dense or sparse matrix.  Exactly zero products raise
+    DegenerateSpectrumError.
     """
     if not isinstance(m, WeightMatrix):
         m = WeightMatrix(m)
     if m.n == 0:
         raise ValueError("power_method expects a nonempty square matrix")
     crit = crit if crit is not None else ConvergenceCriterion()
-    if v0 is None:
-        v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=m.n)
-    v = np.asarray(v0, dtype=float)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise DegenerateSpectrumError("start vector is zero")
+    # an all-zero start has probability at most 2^-53, so it is not checked
+    v = np.random.default_rng(seed).uniform(-1.0, 1.0, size=m.n)
 
     def step(v):
         w = m @ v
@@ -339,7 +328,7 @@ def power_method(
             raise DegenerateSpectrumError("iteration reached an exactly zero vector")
         return w / norm
 
-    return iterate(step, v / norm, crit).final_state
+    return iterate(step, v / np.linalg.norm(v), crit).final_state
 
 
 def newman_bisect(

@@ -25,12 +25,10 @@ from .core import (
 )
 from .modularity import _lms_sweeps, modularity_matrix
 
-__all__ = ["run_gnm", "run_gnm_plus_lms", "run_sgnm", "stiefel_project"]
+__all__ = ["run_gnm", "run_gnm_plus_lms", "run_sgnm"]
 
 
 def _frame_network(graph: WeightedGraph, d: int) -> DhnNetwork:
-    if d < 1:
-        raise ValueError("frame dimension d must be positive")
     q = modularity_matrix(graph).q
     return DhnNetwork(q, np.zeros((graph.n, d)), Activation.STIEFEL_PROJECTION)
 

@@ -3,7 +3,6 @@ import pytest
 
 import dhn
 from dhn.graphs import (
-    barbell_graph,
     disjoint_pairs_graph,
     karate_club,
     ring_graph,
@@ -39,13 +38,6 @@ def test_ring():
     assert np.all(g.degrees == 2.0)
     with pytest.raises(ValueError):
         ring_graph(2)
-
-
-def test_barbell():
-    g = barbell_graph(3, bridge=2)
-    assert g.n == 7
-    # two triangles plus a 2-edge path
-    assert g.volume == 2 * (3 + 3 + 2)
 
 
 def test_two_component_graph_is_disconnected():

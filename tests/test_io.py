@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -166,6 +168,32 @@ def edge_lists_with_a_bad_line(draw):
     return "\n".join(lines) + "\n", position + 1
 
 
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def usage_errors(draw):
+    """(method, flags, DHN_SEED) for a `dhn cluster` call with exactly one bad setting."""
+    method = draw(st.sampled_from(METHODS))
+    kind = draw(st.sampled_from(["count", "epsilon", "newman-dim", "env-seed"]))
+    if kind == "env-seed":
+        ascii_text = st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=6)
+        return method, [], draw(ascii_text.filter(_not_an_int))
+    if kind == "count":
+        flag = draw(st.sampled_from(["--dim", "--max-iters", "--window"]))
+        value = draw(st.integers(-5, 0))
+    elif kind == "epsilon":
+        flag, value = "--epsilon", draw(st.sampled_from(["-1", "-1e-300", "nan", "inf", "-inf"]))
+    else:
+        method, flag, value = "newman", "--dim", draw(st.integers(-2, 9).filter(lambda d: d != 2))
+    return method, [f"{flag}={value}"], "0"
+
+
 class TestExitCodeContract:
     @settings(max_examples=50, deadline=None)
     @given(edge_lists_with_a_bad_line(), st.sampled_from(METHODS))
@@ -180,6 +208,23 @@ class TestExitCodeContract:
         assert code == 3
         assert f"line {line_number}:" in stderr.getvalue()
         assert not out.exists()
+
+    @settings(max_examples=50, deadline=None)
+    @given(usage_errors())
+    def test_bad_flag_or_env_seed_exits_2_before_reading_input(self, tmp_path_factory, case):
+        method, flags, env_seed = case
+        folder = tmp_path_factory.mktemp("usage")
+        out = folder / "x.json"
+        argv = ["cluster", "--method", method, *flags,
+                "--input", str(folder / "absent.edges"), "--output", str(out)]
+        stderr = io.StringIO()
+        with mock.patch.dict(os.environ, {"DHN_SEED": env_seed}), contextlib.redirect_stderr(
+            stderr
+        ):
+            code = main(argv)
+        assert code == 2
+        assert "absent.edges" not in stderr.getvalue()
+        assert list(folder.iterdir()) == []
 
 
 @st.composite
@@ -517,6 +562,20 @@ class TestDispatch:
             "input": str(karate_file),
             "directed_reject": False,
         }
+
+    def test_cleora_with_max_iters_omitted_runs_the_library_default(
+        self, tmp_path, karate_file, monkeypatch
+    ):
+        monkeypatch.delenv("DHN_SEED", raising=False)
+        out = tmp_path / "cleora.json"
+        code = run_cli(["cluster", "--method", "cleora", "--input", karate_file, "--output", out])
+        assert code == 0
+        document = load_result(out)
+        assert document["config"]["max_iters"] == document["iterations"] == 3
+        g = load_edge_list(karate_file)
+        direct = tmp_path / "direct.emb"
+        write_embedding(direct, run_cleora(g, 2, iters=3, seed=0), labels=g.labels())
+        assert (tmp_path / "cleora.json.emb").read_bytes() == direct.read_bytes()
 
 
 class TestEvalCommand:

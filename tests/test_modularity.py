@@ -113,16 +113,16 @@ class TestModularityScore:
 
 class TestLmsNetwork:
     def test_construction(self):
-        net = dhn.build_lms_network(single_edge_graph())
+        g = single_edge_graph()
+        net = dhn.build_lms_network(g, g.n)
         assert np.all(net.weights.diagonal() == 0.0)
-        net.validate_energy_hypotheses()
         assert net.d == 2
 
     def test_serial_energy_monotone_from_identity(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             g = random_positive_graph(rng, int(rng.integers(3, 9)))
-            net = dhn.build_lms_network(g)
+            net = dhn.build_lms_network(g, g.n)
             report = dhn.run_serial(net, np.eye(g.n))
             assert report.outcome is Outcome.STABLE
             assert np.all(np.diff(report.energy_trace) <= 0)
@@ -176,7 +176,7 @@ class TestRunLms:
         rng = np.random.default_rng(5)
         for _ in range(10):
             g = random_positive_graph(rng, int(rng.integers(3, 9)))
-            net = dhn.build_lms_network(g)
+            net = dhn.build_lms_network(g, g.n)
             x = np.eye(g.n)
             previous = dhn.modularity_score(g, dhn.clustering_from_matrix(x))
             for _sweep in range(4):
@@ -243,7 +243,7 @@ class TestLmsExactOracle:
             trace = np.array(report.energy_trace)
             assert len(trace) == 1 + g.n * report.iterations
             assert np.all(np.diff(trace) <= 0.0)
-            final = dhn.energy(dhn.build_lms_network(g), dhn.clustering_to_matrix(c))
+            final = dhn.energy(dhn.build_lms_network(g, g.n), dhn.clustering_to_matrix(c))
             assert abs(trace[-1] - final) <= 1e-12
 
     def test_energy_trace_from_any_start(self):
@@ -266,7 +266,7 @@ class TestLmsExactOracle:
         for _ in range(20):
             g = random_positive_graph(rng, int(rng.integers(3, 15)))
             _, report = dhn.run_lms(g)
-            net, x = dhn.build_lms_network(g), np.eye(g.n)
+            net, x = dhn.build_lms_network(g, g.n), np.eye(g.n)
             for step, drop in enumerate(np.diff(report.energy_trace)):
                 stepped = dhn.serial_step(net, x, step % g.n)
                 if np.array_equal(stepped, x):
