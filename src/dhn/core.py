@@ -95,9 +95,12 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
 def stiefel_project(m: np.ndarray) -> np.ndarray:
     """Project an n x d matrix onto the orthonormal d-frames in R^n.
 
-    Returns the polar factor U Vt of the thin singular decomposition
-    M = U S Vt.  This is the frame maximizing Tr(St M), equivalently the
-    closest frame in Frobenius norm.  A rank-deficient input still yields a
+    Returns the polar factor M (Mt M)^(-1/2) = U Vt, where M = U S Vt is the
+    thin singular decomposition.  This is the frame maximizing Tr(St M),
+    equivalently the closest frame in Frobenius norm.  It is computed from the
+    d x d eigenproblem Mt M = V diag(w) Vt as M V diag(w)^(-1/2) Vt, unless
+    w_min <= 1e-2 w_max: squaring M squares its condition number, so such
+    input takes the SVD of M instead.  A rank-deficient input still yields a
     valid frame, but the maximizer is not unique; a warning is emitted.
     """
     m = np.asarray(m, dtype=float)
@@ -106,6 +109,11 @@ def stiefel_project(m: np.ndarray) -> np.ndarray:
     n, d = m.shape
     if d > n:
         raise ValueError(f"no orthonormal {d}-frame exists in R^{n} (d > n)")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram matrix takes the SVD
+        w, v = np.linalg.eigh(m.T @ m)
+    # off the SVD's frame by about 1e-16 w_max / w_min, so by < 1e-13 here (tests/test_stiefel.py)
+    if w[0] > w[-1] * 1e-2:
+        return m @ ((v / np.sqrt(w)) @ v.T)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     if s[-1] <= s[0] * 1e-13:
         warnings.warn(

@@ -28,6 +28,12 @@ def random_classification_net(rng, n, d, diag="nonneg", with_bias=True):
     return dhn.DhnNetwork(w, b, dhn.Activation.CLASSIFICATION)
 
 
+def svd_polar(m):
+    """Polar factor U Vt of the thin SVD M = U S Vt: the reference for ``dhn.stiefel_project``."""
+    u, _, vt = np.linalg.svd(m, full_matrices=False)
+    return u @ vt
+
+
 def random_positive_graph(rng, n, density=0.6):
     """Random symmetric graph with nonnegative weights, zero diagonal, volume > 0."""
     mask = rng.random((n, n)) < density

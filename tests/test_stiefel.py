@@ -2,12 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dhn
+from dhn import core, stiefel
 from dhn.graphs import disjoint_pairs_graph, karate_club
 from dhn.modularity import modularity_matrix
 
-from conftest import random_positive_graph
+from conftest import random_positive_graph, svd_polar
 
 
 def frame_error(s):
@@ -43,6 +46,30 @@ class TestProjection:
         with pytest.warns(RuntimeWarning):
             s = dhn.stiefel_project(np.ones((4, 2)))
         assert frame_error(s) <= 1e-10
+
+    def test_nan_input_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            dhn.stiefel_project(np.array([[np.nan, 1.0], [2.0, 3.0], [4.0, 5.0]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        d_share=st.floats(0.0, 1.0),
+        gram_ratio_exponent=st.floats(-12.0, 0.0),  # log10 w_min / w_max; the SVD below -2
+        scale_exponent=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_svd_polar_factor(self, n, d_share, gram_ratio_exponent, scale_exponent, seed):
+        d = max(1, round(d_share * n))
+        rng = np.random.default_rng(seed)
+        u = np.linalg.qr(rng.normal(size=(n, d)))[0]
+        v = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        singular = 10.0 ** rng.uniform(gram_ratio_exponent / 2, 0.0, size=d)
+        singular[0], singular[-1] = 1.0, 10.0 ** (gram_ratio_exponent / 2)
+        m = (u * singular) @ v.T * 10.0**scale_exponent
+        p = dhn.stiefel_project(m)
+        assert np.abs(p - svd_polar(m)).max() <= 1e-12
+        assert frame_error(p) <= 1e-12
 
     def test_frame_validity(self):
         rng = np.random.default_rng(1)
@@ -190,3 +217,39 @@ class TestRunGnmPlusLms:
             cg, _ = dhn.run_gnm(g, d, seed=seed)
             cl, _ = dhn.run_gnm_plus_lms(g, d, seed=seed)
             assert dhn.modularity_score(g, cl) >= dhn.modularity_score(g, cg) - 1e-12
+
+
+# Unbudgeted, the 192 karate runs of run_sgnm below take about 30 s; its frames
+# are compared after a fixed number of sweeps instead.
+FRAME_RUNS = [
+    (dhn.run_gnm, None),
+    (dhn.run_gnm_plus_lms, None),
+    (dhn.run_sgnm, dhn.ConvergenceCriterion(max_iters=15)),
+]
+
+
+class TestFrameRunsMatchSvdProjection:
+    """Frame runs end as they do with the SVD projection: labels, steps, outcome, final state."""
+
+    @staticmethod
+    def assert_matches_svd_run(monkeypatch, run, graph, d, seed, crit):
+        c_fast, r_fast = run(graph, d, seed=seed, crit=crit)
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "stiefel_project", svd_polar)
+            patch.setattr(stiefel, "stiefel_project", svd_polar)
+            c_ref, r_ref = run(graph, d, seed=seed, crit=crit)
+        assert c_fast == c_ref
+        assert (r_fast.iterations, r_fast.outcome) == (r_ref.iterations, r_ref.outcome)
+        assert np.abs(r_fast.final_state - r_ref.final_state).max() <= 1e-9
+
+    @pytest.mark.parametrize("run, crit", FRAME_RUNS)
+    def test_karate(self, monkeypatch, run, crit):
+        g = karate_club()
+        for d in (2, 3, 4):
+            for seed in range(32):
+                self.assert_matches_svd_run(monkeypatch, run, g, d, seed, crit)
+
+    @pytest.mark.parametrize("run, crit", FRAME_RUNS)
+    def test_random_graph(self, monkeypatch, run, crit):
+        g = random_positive_graph(np.random.default_rng(6), 200, density=0.05)
+        self.assert_matches_svd_run(monkeypatch, run, g, 4, 0, crit)
