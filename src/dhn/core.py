@@ -77,8 +77,12 @@ def classify_rows(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[1] == 0:
         raise ValueError("classify_rows expects an n x d matrix with d >= 1")
-    out = np.zeros(m.shape)
-    out[np.arange(m.shape[0]), np.argmax(m, axis=1)] = 1.0
+    return _onehot(np.argmax(m, axis=1), m.shape[1])
+
+
+def _onehot(labels: np.ndarray, d: int) -> np.ndarray:
+    out = np.zeros((labels.shape[0], d))
+    out[np.arange(labels.shape[0]), labels] = 1.0
     return out
 
 
@@ -104,8 +108,8 @@ def stiefel_project(m: np.ndarray) -> np.ndarray:
     valid frame, but the maximizer is not unique; a warning is emitted.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("stiefel_project expects a 2-d matrix")
+    if m.ndim != 2 or m.shape[1] == 0:
+        raise ValueError(f"stiefel_project expects an n x d matrix with d >= 1, got {m.shape}")
     n, d = m.shape
     if d > n:
         raise ValueError(f"no orthonormal {d}-frame exists in R^{n} (d > n)")
@@ -185,6 +189,23 @@ class WeightMatrix:
         x = np.asarray(x, dtype=float)
         u = self.vector
         return self.sparse @ x + np.multiply.outer(u, self.coef * (u @ x))
+
+    def onehot_product(self, labels: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+        """W X for the one-hot X = onehot(labels), bit for bit equal to ``self @ x``.
+
+        The CSR product sums row i into column c in stored order, adding exact
+        zeros for entries labelled otherwise, so summing just the entries
+        labelled c in that order gives the same floats in O(nnz + n d).  The
+        rank-one term keeps the BLAS ``u @ x``.  ``out`` (C-ordered) is reused.
+        """
+        s, u = self.sparse, self.vector
+        index = np.int32 if s.nnz <= np.iinfo(np.int32).max else np.int64  # a 4-byte label per entry
+        binned = (s.data, labels.astype(index)[s.indices], s.indptr.astype(index))
+        # toarray sums duplicate entries, so each (row, label) bin, in stored order
+        wx = sp.csr_array(binned, x.shape).toarray(out=out)
+        for c, t in enumerate(self.coef * (u @ x)):  # column by column: no n x d temporary
+            wx[:, c] += u * t
+        return wx
 
     def row(self, x: np.ndarray, i: int) -> np.ndarray:
         """Row i of W X for an n x d matrix X, without forming the other rows."""
@@ -337,7 +358,10 @@ def energy(net: DhnNetwork, x: np.ndarray) -> float:
     nonnegative diagonal.
     """
     x = np.asarray(x, dtype=float)
-    wx = net.weights @ x
+    return _energy(net, x, net.weights @ x)
+
+
+def _energy(net: DhnNetwork, x: np.ndarray, wx: np.ndarray) -> float:
     return float(-np.sum(x * wx) - 2.0 * np.sum(x * net.bias))
 
 
@@ -457,20 +481,31 @@ def run_parallel(
     where X^ is X normalized to unit Frobenius norm (see ``iterate``).  A
     revisit at lag 1 is a stable state, lag 2 a two-cycle; with symmetric
     weights classification runs never need more.
+
+    A classification step forms one W X, from the new state's labels
+    (``WeightMatrix.onehot_product``); its energy and the next step read it.
+    States, energies and ties are bit for bit those of ``parallel_step`` and
+    ``energy``.
     """
     crit = crit if crit is not None else ConvergenceCriterion()
     x = np.asarray(x0, dtype=float)  # steps leave it unmodified, so no copy
     if x.shape != (net.n, net.d):
         raise ValueError(f"state must be {net.n}x{net.d}, got {x.shape}")
+    if net.activation is not Activation.CLASSIFICATION:
+        return iterate(lambda x: parallel_step(net, x), x, crit)
 
-    trace = [energy(net, x)] if net.activation is Activation.CLASSIFICATION else None
+    wx = net.weights @ x
+    trace = [_energy(net, x, wx)]
 
-    def step(x):
-        x = parallel_step(net, x)
-        if trace is not None:
-            trace.append(energy(net, x))
+    def step(_):  # iterate passes the state whose W X is wx
+        nonlocal wx
+        h = np.add(wx, net.bias, out=wx)  # W X of the old state is spent once h is formed
+        labels = np.argmax(h, axis=1)
+        x = _onehot(labels, net.d)
+        wx = net.weights.onehot_product(labels, x, out=h)
+        trace.append(_energy(net, x, wx))
         return x
 
-    report = iterate(step, x, crit, exact=net.activation is Activation.CLASSIFICATION)
+    report = iterate(step, x, crit, exact=True)
     report.energy_trace = trace
     return report

@@ -1,6 +1,7 @@
 """Shared random-instance builders for the test suite."""
 
 import numpy as np
+import scipy.sparse as sp
 
 import dhn
 
@@ -43,6 +44,22 @@ def random_positive_graph(rng, n, density=0.6):
     if w.sum() == 0.0:  # guarantee at least one edge
         w[0, 1] = w[1, 0] = 1.0
     return dhn.WeightedGraph(w)
+
+
+def planted_graph(rng, n, blocks, avg_degree=16, mixing=0.3):
+    """Sparse unit-weight planted partition, built without an n x n array.
+
+    Node i is in block i % blocks (n a multiple of blocks).  Of the
+    avg_degree * n / 2 edge draws, a ``mixing`` share goes to any node and the
+    rest inside the drawing node's block; repeats and self-pairs are dropped.
+    """
+    m = avg_degree * n // 2
+    src = rng.integers(0, n, size=m)
+    inside = src % blocks + blocks * rng.integers(0, n // blocks, size=m)
+    dst = np.where(rng.random(m) < mixing, rng.integers(0, n, size=m), inside)
+    keep = src != dst
+    w = sp.coo_array((np.ones(keep.sum()), (src[keep], dst[keep])), shape=(n, n))
+    return dhn.WeightedGraph(((w + w.T) > 0).astype(float))
 
 
 def serial_fixed_points(net, states):

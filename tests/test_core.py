@@ -339,6 +339,33 @@ class TestOperatorWeights:
             assert np.max(np.abs(operator.diagonal() - np.diagonal(reference))) <= 1e-12
         assert np.all(mm.q.zero_diagonal().diagonal() == 0.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        d=st.integers(1, 6),
+        density=st.floats(0.0, 1.0),
+        coef=st.sampled_from([0.0, 1.0, -0.37, 2.5e-3]),
+        zero_diagonal=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_onehot_product_is_the_csr_product(self, n, d, density, coef, zero_diagonal, seed):
+        # magnitudes over 16 decades, so a different summation order would round differently
+        rng = np.random.default_rng(seed)
+        mask = rng.random((n, n)) < density
+        w = rng.uniform(-1.0, 1.0, size=(n, n)) * 10.0 ** rng.uniform(-8, 8, size=(n, n)) * mask
+        w[rng.random(n) < 0.2] = 0.0  # empty rows; negative entries and self-loops stay
+        u = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.uniform(-4, 4, size=n)
+        operator = dhn.WeightMatrix(w, u, coef)
+        if zero_diagonal:
+            operator = operator.zero_diagonal()
+        labels = rng.integers(0, d, size=n)
+        x = np.eye(d)[labels]
+        want = (operator @ x).tobytes()
+        assert operator.onehot_product(labels, x).tobytes() == want
+        out = rng.uniform(size=(n, d))  # stale values must not leak into the result
+        assert operator.onehot_product(labels, x, out=out) is out
+        assert out.tobytes() == want
+
     def test_no_n_by_n_array_from_load_to_score(self, tmp_path):
         # one n x n float64 array would take 72 MB at n = 3000
         n, d = 3000, 4

@@ -2,6 +2,7 @@
 
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -111,22 +112,29 @@ class TestIterate:
 
 
 class TestMatchesReferenceLoops:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(1, 9),
         d=st.integers(1, 4),
         activation=st.sampled_from(list(Activation)),
-        symmetric=st.booleans(),
+        weights=st.sampled_from(["any", "symmetric", "modularity"]),
+        onehot_start=st.booleans(),
         crit=criteria,
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_run_parallel(self, n, d, activation, symmetric, crit, seed):
+    def test_run_parallel(self, n, d, activation, weights, onehot_start, crit, seed):
         rng = np.random.default_rng(seed)
+        if weights == "modularity":  # a CSR part, a rank-one term and a zeroed diagonal
+            n += 1  # a random_positive_graph needs two nodes
         if activation is Activation.STIEFEL_PROJECTION:
             d = min(d, n)
-        bias = rng.uniform(-1.0, 1.0, size=(n, d))
-        net = dhn.DhnNetwork(random_weights(rng, n, symmetric), bias, activation)
-        if activation is Activation.CLASSIFICATION:
+        if weights == "modularity":
+            net = dhn.build_lms_network(random_positive_graph(rng, n), d)
+            net = replace(net, activation=activation)
+        else:
+            bias = rng.uniform(-1.0, 1.0, size=(n, d))
+            net = dhn.DhnNetwork(random_weights(rng, n, weights == "symmetric"), bias, activation)
+        if activation is Activation.CLASSIFICATION and onehot_start:
             x0 = dhn.clustering_to_matrix(dhn.Clustering(rng.integers(0, d, size=n), d))
         else:
             x0 = rng.uniform(-1.0, 1.0, size=(n, d))

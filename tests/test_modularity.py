@@ -10,7 +10,7 @@ from dhn.core import ConvergenceCriterion, Outcome
 from dhn.graphs import disjoint_pairs_graph, karate_club, ring_graph
 from dhn.modularity import _lms_sweeps
 
-from conftest import random_positive_graph
+from conftest import planted_graph, random_positive_graph
 
 
 def single_edge_graph():
@@ -290,6 +290,22 @@ class TestLmsExactOracle:
 
 
 class TestRunPlms:
+    def test_peak_memory_of_a_budgeted_run(self):
+        # one W X per step, formed from the labels into the spent pre-activation, and shared
+        # with the energy: no step may hold more than the two-product step did
+        g = planted_graph(np.random.default_rng(45), 4500, 16)
+        crit = ConvergenceCriterion(max_iters=12)
+        dhn.run_plms(g, 16, seed=0, crit=crit)  # first-call allocations are not the run's
+        tracemalloc.start()
+        try:
+            dhn.run_plms(g, 16, seed=1, crit=crit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two products per step (parallel_step, then energy) peaked at 5,411,522 B with
+        # numpy 2.4 and SciPy 1.17; one product per step at 5,316,108 B
+        assert peak <= 5_411_522
+
     def test_outcomes_are_short_cycles(self):
         rng = np.random.default_rng(6)
         for seed in range(25):

@@ -42,6 +42,10 @@ class TestProjection:
         with pytest.raises(ValueError):
             dhn.stiefel_project(np.zeros((2, 3)))
 
+    def test_zero_width_rejected(self):
+        with pytest.raises(ValueError, match=r"d >= 1, got \(3, 0\)"):
+            dhn.stiefel_project(np.zeros((3, 0)))
+
     def test_rank_deficient_warns_but_returns_frame(self):
         with pytest.warns(RuntimeWarning):
             s = dhn.stiefel_project(np.ones((4, 2)))
