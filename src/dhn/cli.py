@@ -23,7 +23,7 @@ from .io import (
     score_assignment,
     write_result,
 )
-from .modularity import DegenerateSpectrumError, newman_bisect, run_lms, run_plms
+from .modularity import DegenerateSpectrumError, _newman_run, run_lms, run_plms
 from .stiefel import run_gnm, run_gnm_plus_lms, run_sgnm
 
 __all__ = ["cluster_command", "eval_command", "main"]
@@ -49,7 +49,7 @@ def cluster_command(config: RunConfig, graph: WeightedGraph) -> dict:
         embedding_path = config.output + ".emb"
         write_embedding(embedding_path, embedding, labels=graph.labels())
     elif config.method == "newman":
-        clustering = newman_bisect(graph, seed=config.seed, crit=crit)
+        clustering, report = _newman_run(graph, config.seed, crit)
     elif config.method == "lms":
         clustering, report = run_lms(graph, crit=crit)
     else:  # same signature; built per call, so names patched here (perfbench's tracer) are used

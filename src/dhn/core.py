@@ -145,7 +145,12 @@ def canonical_csr(matrix) -> sp.csr_array:
 
 def max_asymmetry(m: sp.csr_array) -> float:
     """max |M - Mt| over the entries of a sparse matrix."""
-    diff = abs(m - m.T)
+    t = m.T.tocsr()
+    paired = np.array_equal(m.indptr, t.indptr) and np.array_equal(m.indices, t.indices)
+    if paired and m.has_canonical_format:  # M's entries pair with t's: compare in t's copy
+        diff = np.abs(np.subtract(t.data, m.data, out=t.data), out=t.data)
+        return float(diff.max()) if diff.size else 0.0
+    diff = abs(m - t)
     return float(diff.max()) if diff.nnz else 0.0
 
 

@@ -44,7 +44,8 @@ def run_cleora(
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=(graph.n, d))
     for _ in range(iters):
-        x = l2_normalize_rows(graph.weights @ x)
+        x = graph.weights @ x  # frees the old state before the normalized one is made
+        x = l2_normalize_rows(x)
     return x
 
 

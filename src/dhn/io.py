@@ -114,18 +114,32 @@ def load_edge_list(path, directed_reject: bool = False) -> WeightedGraph:
             weights.append(weight)
     if not sources:
         raise EdgeListParseError("edge list contains no edges", 0)
-    i, j, data = np.array(sources), np.array(targets), np.array(weights)
-    n = len(index)
+    # each list is dropped once its array exists, and each array once it is used
+    n, labels = len(index), tuple(index)
+    del index
+    i = np.array(sources)
+    del sources
+    j = np.array(targets)
+    del targets
+    data = np.array(weights)
+    del weights
+    if not directed_reject:  # sum each unordered pair once, then mirror it
+        i, j = np.minimum(i, j), np.maximum(i, j)
+    w = canonical_csr(sp.coo_array((data, (i, j)), shape=(n, n)))
+    del i, j, data
     if directed_reject:
-        w = canonical_csr(sp.coo_array((data, (i, j)), shape=(n, n)))
         if max_asymmetry(w) > 0.0:
             raise ValueError("edge list is not symmetric (running with --directed-reject)")
-    else:
-        # sum each unordered pair once, then mirror it, so W is exactly symmetric
-        pairs = (np.minimum(i, j), np.maximum(i, j))
-        upper = canonical_csr(sp.coo_array((data, pairs), shape=(n, n)))
-        w = upper + sp.triu(upper, k=1).T
-    return WeightedGraph(w, node_labels=tuple(index))
+    elif w.nnz:  # W = upper + triu(upper, 1).T: with the transposed entries first,
+        # the stable COO -> CSR bins leave every row sorted and sum no value
+        rows = np.repeat(np.arange(n, dtype=w.indices.dtype), np.diff(w.indptr))
+        off = rows != w.indices
+        data = np.concatenate([w.data[off], w.data])
+        i, j = np.concatenate([w.indices[off], rows]), np.concatenate([rows[off], w.indices])
+        del w, rows, off
+        w = sp.coo_array((data, (i, j)), shape=(n, n)).tocsr()
+        del i, j, data
+    return WeightedGraph(w, node_labels=labels)
 
 
 def write_edge_list(graph: WeightedGraph, path) -> None:
@@ -186,9 +200,8 @@ def result_document(
         assignment = dict(zip(graph.labels(), (int(a) for a in clustering.assignment)))
         modularity = modularity_score(graph, clustering)
         d_cut = d_cut_value(graph, clustering)
-    # newman and cleora run without a report; cleora's iterations are its propagations
-    iterations = config.max_iters if config.method == "cleora" else None
-    outcome = energy_trace = None
+    # only cleora runs without a report; its iterations are its propagations
+    iterations, outcome, energy_trace = config.max_iters, None, None
     if report is not None:
         iterations, outcome = report.iterations, report.outcome.value
         energy_trace = report.energy_trace

@@ -313,6 +313,10 @@ def power_method(
     WeightMatrix or any dense or sparse matrix.  Exactly zero products raise
     DegenerateSpectrumError.
     """
+    return _power_run(m, seed, crit).final_state
+
+
+def _power_run(m, seed, crit) -> RunReport:  # power_method with its RunReport
     if not isinstance(m, WeightMatrix):
         m = WeightMatrix(m)
     if m.n == 0:
@@ -328,7 +332,7 @@ def power_method(
             raise DegenerateSpectrumError("iteration reached an exactly zero vector")
         return w / norm
 
-    return iterate(step, v / np.linalg.norm(v), crit).final_state
+    return iterate(step, v / np.linalg.norm(v), crit)
 
 
 def newman_bisect(
@@ -348,6 +352,9 @@ def newman_bisect(
     poorly.  The multi-frame methods in the stiefel module are the intended
     remedy.
     """
-    q = modularity_matrix(graph).q
-    v = power_method(q, seed=seed, crit=crit)
-    return Clustering(np.where(v >= 0.0, 0, 1), 2)
+    return _newman_run(graph, seed, crit)[0]
+
+
+def _newman_run(graph, seed, crit) -> tuple:  # newman_bisect with its power iteration's RunReport
+    report = _power_run(modularity_matrix(graph).q, seed, crit)
+    return Clustering(np.where(report.final_state >= 0.0, 0, 1), 2), report

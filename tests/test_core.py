@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -383,3 +384,38 @@ class TestOperatorWeights:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+@st.composite
+def square_sparse_matrices(draw):
+    """Canonical square CSR matrices: symmetric, asymmetric in value or in structure, or any."""
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.uniform(-2.0, 2.0, size=(n, n)) * (rng.random((n, n)) < draw(st.floats(0.0, 1.0)))
+    kind = draw(st.sampled_from(["symmetric", "values", "structure", "any"]))
+    if kind != "any":
+        a = np.triu(a) + np.triu(a, 1).T
+    rows, cols = np.nonzero(a)
+    if kind != "symmetric" and rows.size:
+        k = draw(st.integers(0, rows.size - 1))
+        # a new value keeps the structure; a zero drops one side of a pair (or a diagonal entry)
+        a[rows[k], cols[k]] = 0.0 if kind == "structure" else a[rows[k], cols[k]] * draw(
+            st.sampled_from([-1.0, 0.5, 1.0 + 2.0**-52])
+        )
+    return dhn.core.canonical_csr(a)
+
+
+class TestMaxAsymmetry:
+    @settings(max_examples=200, deadline=None)
+    @given(square_sparse_matrices())
+    def test_equals_the_largest_entry_of_the_sparse_difference(self, m):
+        diff = abs(m - m.T)
+        assert dhn.core.max_asymmetry(m) == (float(diff.max()) if diff.nnz else 0.0)
+
+    def test_duplicate_entries_are_summed_before_pairing(self):
+        # (0, 1) is stored as 1 + 2 and (1, 0) as 2 + 1: the sums agree, the stored pairs do not
+        m = sp.csr_array(
+            (np.array([1.0, 2.0, 2.0, 1.0]), np.array([1, 1, 0, 0]), np.array([0, 2, 4])),
+            shape=(2, 2),
+        )
+        assert dhn.core.max_asymmetry(m) == 0.0

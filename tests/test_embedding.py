@@ -9,6 +9,8 @@ import dhn
 from dhn.embedding import run_cleora, write_embedding
 from dhn.graphs import disjoint_pairs_graph, ring_graph
 
+from conftest import planted_graph
+
 
 class TestRowNormalization:
     def test_scales_to_unit(self):
@@ -87,6 +89,19 @@ class TestRunCleora:
         # no propagation step, so the start matrix is still returned
         start = np.random.default_rng(0).uniform(-1, 1, size=(3, 2))
         assert np.array_equal(run_cleora(empty, 2, iters=0, seed=0), start)
+
+    def test_peak_memory_is_two_states(self):
+        # each step drops the old state before W X is normalized; keeping it held three
+        # n x d states and peaked at 3.04 states with numpy 2.4 and SciPy 1.17 (now 2.04)
+        g = planted_graph(np.random.default_rng(1), 6000, 20)
+        run_cleora(g, 64, seed=0)  # first-call allocations are not the run's
+        tracemalloc.start()
+        try:
+            x = run_cleora(g, 64, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * x.nbytes
 
     def test_isolated_node_keeps_its_zero_row(self):
         g = dhn.WeightedGraph([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])

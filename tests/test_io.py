@@ -4,16 +4,19 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dhn
 from dhn import cli
 from dhn.cli import cluster_command, main
+from dhn.core import canonical_csr
 from dhn.embedding import run_cleora, write_embedding
 from dhn.graphs import disjoint_pairs_graph, karate_club
 from dhn.io import (
@@ -26,8 +29,10 @@ from dhn.io import (
     write_edge_list,
     write_result,
 )
-from dhn.modularity import newman_bisect, run_lms, run_plms
+from dhn.modularity import _newman_run, newman_bisect, run_lms, run_plms
 from dhn.stiefel import run_gnm, run_gnm_plus_lms, run_sgnm
+
+from conftest import planted_graph
 
 
 def write(tmp_path, text, name="graph.edges"):
@@ -118,6 +123,22 @@ class TestLoadEdgeList:
             load_edge_list(write(tmp_path, text))
         assert err.value.line_number == 7
 
+    def test_peak_memory_of_a_load(self, tmp_path):
+        # the parse lists, their arrays, the upper triangle and W are dropped in turn; holding
+        # them, and summing W from two copies of the triangle, peaked at 7.65 times W's CSR
+        g = planted_graph(np.random.default_rng(45), 4500, 16)
+        path = tmp_path / "planted.edges"
+        write_edge_list(g, path)
+        load_edge_list(path)  # first-call allocations are not the load's
+        tracemalloc.start()
+        try:
+            w = load_edge_list(path).weights
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 2.72 times with numpy 2.4 and SciPy 1.17
+        assert peak <= 3 * (w.data.nbytes + w.indices.nbytes + w.indptr.nbytes)
+
 
 @st.composite
 def labelled_graphs(draw):
@@ -153,6 +174,73 @@ class TestEdgeListRoundTrip:
         assert loaded.labels() == g.labels()
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(loaded.weights, part), getattr(g.weights, part))
+
+
+def summed_mirror(text):
+    """W of ``u v weight`` lines built as upper + triu(upper, 1).T, as loads once did."""
+    index, i, j, data = {}, [], [], []
+    for line in text.splitlines():
+        u, v, weight = line.split()
+        i.append(index.setdefault(u, len(index)))
+        j.append(index.setdefault(v, len(index)))
+        data.append(float(weight))
+    i, j, n = np.array(i), np.array(j), len(index)
+    pairs = (np.minimum(i, j), np.maximum(i, j))
+    upper = canonical_csr(sp.coo_array((np.array(data), pairs), shape=(n, n)))
+    return upper + sp.triu(upper, k=1).T
+
+
+@st.composite
+def weighted_edge_lists(draw, weight=None):
+    """``u v weight`` lines with self-loops and pairs repeated in both orientations."""
+    if weight is None:
+        weight = st.one_of(
+            st.integers(-3, 5).map(float),
+            st.floats(-1e3, 1e3, allow_nan=False),
+            st.sampled_from([0.1, -0.25, 1 / 3]),
+        )
+    edges = st.tuples(st.integers(0, 7), st.integers(0, 7), weight)
+    records = draw(st.lists(edges, min_size=1, max_size=30))
+    records += [(v, u, w) for u, v, w in draw(st.lists(st.sampled_from(records), max_size=10))]
+    return "".join(f"n{u} n{v} {w!r}\n" for u, v, w in draw(st.permutations(records)))
+
+
+class TestMirroredLoad:
+    @settings(max_examples=100, deadline=None)
+    @given(weighted_edge_lists())
+    def test_weights_are_the_summed_mirror_bit_for_bit(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("mirror") / "g.edges"
+        path.write_text(text)
+        got, want = load_edge_list(path).weights, summed_mirror(text)
+        for part in ("data", "indices", "indptr"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        weighted_edge_lists(st.integers(-3, 3)),
+        st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(-3, 3)),
+    )
+    def test_asymmetric_list_exits_4_under_directed_reject(self, tmp_path_factory, text, extra):
+        # every line mirrored is symmetric; one more directed integer weight is not
+        u, v, w = extra
+        lines = text.splitlines()
+        lines += [" ".join((b, a, c)) for a, b, c in map(str.split, lines)]
+        folder = tmp_path_factory.mktemp("directed")
+        path, out = folder / "g.edges", folder / "x.json"
+        path.write_text("\n".join(lines) + "\n")
+        load_edge_list(path, directed_reject=True)  # symmetric, so accepted
+        if u == v or w == 0:
+            return
+        path.write_text("\n".join(lines) + f"\nn{u} n{v} {w}\n")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["cluster", "--method", "lms", "--directed-reject",
+                         "--input", str(path), "--output", str(out)])
+        assert code == 4
+        message = "error: edge list is not symmetric (running with --directed-reject)\n"
+        assert stderr.getvalue() == message
+        assert not out.exists()
 
 
 @st.composite
@@ -364,6 +452,15 @@ class TestClusterCommand:
         assert set(doc["assignment"].values()) <= {0, 1}
         assert doc["config"]["dim"] == 2
 
+    def test_newman_records_an_exhausted_budget(self, tmp_path, karate_file):
+        out = tmp_path / "newman.json"
+        assert run_cli(
+            ["cluster", "--method", "newman", "--max-iters", 1, "--input", karate_file,
+             "--output", out]
+        ) == 0
+        doc = load_result(out)
+        assert (doc["iterations"], doc["outcome"]) == (1, "budget_exhausted")
+
     def test_newman_dim_mismatch_is_usage_error(self, tmp_path, karate_file):
         code = run_cli(
             ["cluster", "--method", "newman", "--dim", 3, "--input", karate_file,
@@ -501,7 +598,7 @@ DIRECT_RUNS = {
     "gnm": lambda g, crit: run_gnm(g, 3, seed=5, crit=crit),
     "sgnm": lambda g, crit: run_sgnm(g, 3, seed=5, crit=crit),
     "gnm-lms": lambda g, crit: run_gnm_plus_lms(g, 3, seed=5, crit=crit),
-    "newman": lambda g, crit: (newman_bisect(g, seed=5, crit=crit), None),
+    "newman": lambda g, crit: (newman_bisect(g, seed=5, crit=crit), _newman_run(g, 5, crit)[1]),
 }
 
 
@@ -514,14 +611,9 @@ class TestDispatch:
         document = cluster_command(config, g)
         clustering, report = DIRECT_RUNS[method](g, config.criterion())
         assert document["assignment"] == dict(zip(g.labels(), map(int, clustering.assignment)))
-        if report is None:
-            assert (document["iterations"], document["outcome"], document["energy_trace"]) == (
-                None, None, None
-            )
-        else:
-            assert document["iterations"] == report.iterations
-            assert document["outcome"] == report.outcome.value
-            assert document["energy_trace"] == report.energy_trace
+        assert document["iterations"] == report.iterations
+        assert document["outcome"] == report.outcome.value
+        assert document["energy_trace"] == report.energy_trace
 
     @pytest.mark.parametrize(
         "method, name",
