@@ -64,7 +64,7 @@ class WeightedGraph:
         if asym > _SYMMETRY_TOL:
             raise ValueError(f"edge weight matrix is asymmetric: max |W - Wt| = {asym:g}")
         if node_labels is not None:
-            node_labels = tuple(str(l) for l in node_labels)
+            node_labels = tuple(map(str, node_labels))
             if len(node_labels) != weights.shape[0]:
                 raise ValueError("node_labels length must equal the node count")
         object.__setattr__(self, "weights", weights)
@@ -97,12 +97,12 @@ class Clustering:
     d: int
 
     def __init__(self, assignment: Sequence[int], d: int):
-        assignment = tuple(int(a) for a in assignment)
+        assignment = tuple(map(int, assignment))
         if d < 1:
             raise ValueError("cluster count d must be positive")
-        for a in assignment:
-            if not 0 <= a < d:
-                raise ValueError(f"cluster index {a} outside 0..{d - 1}")
+        if assignment and not (0 <= min(assignment) and max(assignment) < d):
+            bad = next(a for a in assignment if not 0 <= a < d)
+            raise ValueError(f"cluster index {bad} outside 0..{d - 1}")
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "d", d)
 

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
+from collections import defaultdict
 from dataclasses import asdict, dataclass
+from itertools import count
 from typing import Optional
 
 import numpy as np
@@ -85,44 +88,9 @@ def load_edge_list(path, directed_reject: bool = False) -> WeightedGraph:
     entries instead and any asymmetry in the resulting matrix is an error.
     Weights must be finite numbers.
     """
-    index: dict = {}
-    # flat lists, not a tuple per edge: surviving tuples are tracked by the
-    # cyclic garbage collector and made large loads pay full collections
-    sources, targets, weights = [], [], []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            tokens = raw.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
-            if len(tokens) == 2:
-                u, v = tokens
-                weight = 1.0
-            elif len(tokens) == 3:
-                u, v, text = tokens
-                try:
-                    weight = float(text)
-                except ValueError:
-                    raise EdgeListParseError(f"weight {text!r} is not a number", lineno) from None
-                if not math.isfinite(weight):
-                    raise EdgeListParseError(f"weight {text!r} is not finite", lineno)
-            else:
-                raise EdgeListParseError(
-                    f"expected 'source target [weight]', got {len(tokens)} tokens", lineno
-                )
-            sources.append(index.setdefault(u, len(index)))
-            targets.append(index.setdefault(v, len(index)))
-            weights.append(weight)
-    if not sources:
-        raise EdgeListParseError("edge list contains no edges", 0)
-    # each list is dropped once its array exists, and each array once it is used
-    n, labels = len(index), tuple(index)
-    del index
-    i = np.array(sources)
-    del sources
-    j = np.array(targets)
-    del targets
-    data = np.array(weights)
-    del weights
+    with open(path) as fh:  # a file that is not plain is parsed again, line by line
+        labels, i, j, data = _parse_plain(fh) or _parse_lines(fh)
+    n = len(labels)
     if not directed_reject:  # sum each unordered pair once, then mirror it
         i, j = np.minimum(i, j), np.maximum(i, j)
     w = canonical_csr(sp.coo_array((data, (i, j)), shape=(n, n)))
@@ -140,6 +108,84 @@ def load_edge_list(path, directed_reject: bool = False) -> WeightedGraph:
         w = sp.coo_array((data, (i, j)), shape=(n, n)).tocsr()
         del i, j, data
     return WeightedGraph(w, node_labels=labels)
+
+
+# Characters read per block by the plain-file parse.  Blocks of 2 KiB parse
+# as fast as 16 KiB ones, and their short-lived tokens leave no measurable
+# rise in peak resident memory, where 16 KiB blocks raised the cleora-6k
+# benchmark's peak by about 0.2 MiB.
+_BLOCK_CHARS = 1 << 11
+
+
+def _parse_plain(fh):
+    """``(labels, i, j, data)`` of a file of plain ``u v`` lines, else None.
+
+    A block is plain when it holds no ``#`` and its tokens, rejoined as
+    ``u v\\n`` lines with single spaces, give back the block (the file's last
+    line may lack its newline).  Every other input, and the line number of
+    any error, is left to the per-line parse.
+    """
+    index = defaultdict(count().__next__)  # a new label takes the next index
+    ids = array("q")  # endpoint ids, source and target in turn
+    while block := fh.read(_BLOCK_CHARS):
+        block += fh.readline()  # end the block on a whole line
+        tokens = block.split()
+        pairs = len(tokens) // 2
+        if "#" in block or 2 * pairs != len(tokens):
+            return None
+        lines = "%s %s\n" * pairs % tuple(tokens)
+        if lines != block and lines != block + "\n":
+            return None
+        ids.extend(map(index.__getitem__, tokens))
+    if not ids:  # an empty file, which the per-line parse reports
+        return None
+    labels = tuple(index)
+    del index
+    ends = np.frombuffer(ids, dtype=np.int64)  # a view: no copy of the ids is made
+    return labels, ends[0::2], ends[1::2], np.ones(len(ends) // 2)
+
+
+def _parse_lines(fh):
+    """``(labels, i, j, data)`` of any edge-list file, one line at a time from its start."""
+    fh.seek(0)
+    index: dict = {}
+    # flat lists, not a tuple per edge: surviving tuples are tracked by the
+    # cyclic garbage collector and made large loads pay full collections
+    sources, targets, weights = [], [], []
+    for lineno, raw in enumerate(fh, start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if len(tokens) == 2:
+            u, v = tokens
+            weight = 1.0
+        elif len(tokens) == 3:
+            u, v, text = tokens
+            try:
+                weight = float(text)
+            except ValueError:
+                raise EdgeListParseError(f"weight {text!r} is not a number", lineno) from None
+            if not math.isfinite(weight):
+                raise EdgeListParseError(f"weight {text!r} is not finite", lineno)
+        else:
+            raise EdgeListParseError(
+                f"expected 'source target [weight]', got {len(tokens)} tokens", lineno
+            )
+        sources.append(index.setdefault(u, len(index)))
+        targets.append(index.setdefault(v, len(index)))
+        weights.append(weight)
+    if not sources:
+        raise EdgeListParseError("edge list contains no edges", 0)
+    # each list is dropped once its array exists
+    labels = tuple(index)
+    del index
+    i = np.array(sources)
+    del sources
+    j = np.array(targets)
+    del targets
+    data = np.array(weights)
+    del weights
+    return labels, i, j, data
 
 
 def write_edge_list(graph: WeightedGraph, path) -> None:

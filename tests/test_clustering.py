@@ -38,6 +38,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             dhn.Clustering([0], d=0)
 
+    @pytest.mark.parametrize(
+        "assignment, first_bad",
+        [([0, 2, -1], 2), ([0, -1, 2], -1), (np.array([1, 5, 0, 3]), 5), ([1, 0, 1, 9], 9)],
+    )
+    def test_clustering_names_the_first_index_out_of_range(self, assignment, first_bad):
+        with pytest.raises(ValueError, match=rf"^cluster index {first_bad} outside 0\.\.1$"):
+            dhn.Clustering(assignment, d=2)
+
     def test_matrix_round_trip(self):
         c = dhn.Clustering([2, 0, 2, 1], d=3)
         assert dhn.clustering_from_matrix(dhn.clustering_to_matrix(c)) == c
