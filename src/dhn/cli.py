@@ -1,7 +1,7 @@
 """Command-line interface: cluster a graph, or re-score a stored assignment.
 
 Exit codes: 0 success, 2 usage error, 3 edge-list parse error, 4 numeric or
-degenerate-input error.
+degenerate-input error, or an allocation that fails.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def main(argv=None) -> int:
     except EdgeListParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    except (ValueError, OSError, DegenerateSpectrumError) as exc:
+    except (ValueError, OSError, MemoryError, DegenerateSpectrumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
     return 0

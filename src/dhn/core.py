@@ -46,13 +46,12 @@ _ZERO_ROW_NORM = 1e-300
 class Activation(Enum):
     """Activation kinds a network can carry.
 
-    The first three act row by row on the state matrix; STIEFEL_PROJECTION acts
+    The first two act row by row on the state matrix; STIEFEL_PROJECTION acts
     on the whole matrix at once and is only meaningful in parallel mode.
     """
 
     CLASSIFICATION = "classification"
     L2_NORMALIZE = "l2_normalize"
-    IDENTITY = "identity"
     STIEFEL_PROJECTION = "stiefel_projection"
 
 
@@ -309,7 +308,6 @@ class RunReport:
     outcome: Outcome
     cycle_length: Optional[int] = None
     energy_trace: Optional[list] = None
-    schedule_seed: Optional[int] = None
 
 
 def _row_preactivation(net: DhnNetwork, x: np.ndarray, i: int) -> np.ndarray:
@@ -321,8 +319,6 @@ def _apply_matrix(activation: Activation, m: np.ndarray) -> np.ndarray:
         return classify_rows(m)
     if activation is Activation.L2_NORMALIZE:
         return l2_normalize_rows(m)
-    if activation is Activation.IDENTITY:
-        return np.array(m, dtype=float)
     if activation is Activation.STIEFEL_PROJECTION:
         return stiefel_project(m)
     raise ValueError(f"unknown activation {activation!r}")
@@ -425,38 +421,28 @@ def iterate(step, x: np.ndarray, crit: ConvergenceCriterion, exact: bool = False
 def run_serial(
     net: DhnNetwork,
     x0: np.ndarray,
-    schedule: str = "cyclic",
     crit: Optional[ConvergenceCriterion] = None,
-    seed: Optional[int] = None,
 ) -> RunReport:
-    """Run serial sweeps until one full sweep changes no row.
+    """Run cyclic serial sweeps, neurons 0..n-1 in order, until one sweep changes no row.
 
-    Parameters
-    ----------
-    schedule : "cyclic" visits neurons 0..n-1 in order every sweep;
-        "random" uses a fresh seeded permutation per sweep.
-    crit : only ``max_iters`` (the sweep budget) is read; the run stops at
-        the exact fixed point, whatever ``epsilon`` and ``window`` say.
-
+    Only ``crit.max_iters`` (the sweep budget) is read; the run stops at the
+    exact fixed point, whatever ``epsilon`` and ``window`` say.
     ``iterations`` counts sweeps, the final unchanged sweep included.  With
     symmetric weights, nonnegative diagonal and classification activation
-    the run is guaranteed to reach a stable state; other configurations may
-    terminate only through the budget.
+    the run is guaranteed to reach a stable state, in any visit order; other
+    configurations may terminate only through the budget.
     """
     crit = crit if crit is not None else ConvergenceCriterion()
-    if schedule not in ("cyclic", "random"):
-        raise ValueError(f"unknown schedule {schedule!r}")
     x = np.asarray(x0, dtype=float)  # each sweep works on a copy
     if x.shape != (net.n, net.d):
         raise ValueError(f"state must be {net.n}x{net.d}, got {x.shape}")
-    rng = np.random.default_rng(seed) if schedule == "random" else None
 
     trace = [energy(net, x)] if net.activation is Activation.CLASSIFICATION else None
     w_diag = net.weights.diagonal()
 
     def sweep(x):
         x = x.copy()
-        for i in rng.permutation(net.n) if rng is not None else range(net.n):
+        for i in range(net.n):
             h = _row_preactivation(net, x, i)
             new_row = _serial_row(net.activation, h)
             if not np.array_equal(new_row, x[i]):
@@ -467,10 +453,8 @@ def run_serial(
                 trace.append(trace[-1])
         return x
 
-    # Exact, against the previous state only: under schedule="random" the next
-    # sweep draws a fresh order, so a revisit at lag 2 or more is not a cycle.
     report = iterate(sweep, x, replace(crit, window=1), exact=True)
-    report.energy_trace, report.schedule_seed = trace, seed
+    report.energy_trace = trace
     return report
 
 

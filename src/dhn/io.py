@@ -71,6 +71,8 @@ class RunConfig:
             object.__setattr__(self, "max_iters", default)
         if self.dim < 1:
             raise ValueError("dimension must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.method == "newman" and self.dim != 2:
             raise ValueError("method 'newman' always produces 2 clusters; use --dim 2")
         self.criterion()  # rejects a bad epsilon, window or max_iters

@@ -15,13 +15,14 @@ from typing import Optional
 
 import numpy as np
 
-from .clustering import Clustering, WeightedGraph, clustering_from_matrix, clustering_to_matrix
+from .clustering import Clustering, WeightedGraph
 from .core import (
     Activation,
     ConvergenceCriterion,
     DhnNetwork,
     RunReport,
     WeightMatrix,
+    _onehot,
     iterate,
     parallel_step,
     run_parallel,
@@ -58,8 +59,6 @@ class ModularityMatrix:
     """
 
     q: WeightMatrix
-    volume: float
-    degrees: np.ndarray
 
 
 def _positive_volume(graph: WeightedGraph) -> float:
@@ -72,9 +71,7 @@ def _positive_volume(graph: WeightedGraph) -> float:
 def modularity_matrix(graph: WeightedGraph) -> ModularityMatrix:
     """Build the modularity operator; rejects graphs with volume <= 0."""
     vol = _positive_volume(graph)
-    k = graph.degrees
-    q = WeightMatrix(graph.weights / vol, k, -1.0 / vol**2)
-    return ModularityMatrix(q=q, volume=vol, degrees=k)
+    return ModularityMatrix(WeightMatrix(graph.weights / vol, graph.degrees, -1.0 / vol**2))
 
 
 def modularity_score(graph: WeightedGraph, c: Clustering) -> float:
@@ -288,12 +285,11 @@ def run_plms(
     a two-cycle; on a two-cycle the higher-modularity cycle state is returned.
     """
     net = build_lms_network(graph, d)
-    rng = np.random.default_rng(seed)
-    x0 = clustering_to_matrix(Clustering(rng.integers(0, d, size=graph.n), d))
+    x0 = _onehot(np.random.default_rng(seed).integers(0, d, size=graph.n), d)
     report = run_parallel(net, x0, crit=crit)
-    best = clustering_from_matrix(report.final_state)
+    best = Clustering(np.argmax(report.final_state, axis=1), d)
     if report.cycle_length == 2:
-        other = clustering_from_matrix(parallel_step(net, report.final_state))
+        other = Clustering(np.argmax(parallel_step(net, report.final_state), axis=1), d)
         if modularity_score(graph, other) > modularity_score(graph, best):
             best = other
     return best, report

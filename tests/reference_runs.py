@@ -44,18 +44,16 @@ def _direction(x):
     return x / norm if norm > 0 else x
 
 
-def run_serial(net, x0, schedule="cyclic", crit=None, seed=None, track_energy=True):
+def run_serial(net, x0, crit=None, track_energy=True):
     crit = crit if crit is not None else ConvergenceCriterion()
     x = np.array(x0, dtype=float)
-    rng = np.random.default_rng(seed) if schedule == "random" else None
     trace = None
     if track_energy and net.activation is Activation.CLASSIFICATION:
         trace = [energy(net, x)]
     w_diag = net.weights.diagonal()
     for sweep in range(1, crit.max_iters + 1):
-        order = rng.permutation(net.n) if rng is not None else range(net.n)
         changed = False
-        for i in order:
+        for i in range(net.n):
             h = _row_preactivation(net, x, i)
             new_row = _serial_row(net.activation, h)
             if not np.array_equal(new_row, x[i]):
@@ -66,8 +64,8 @@ def run_serial(net, x0, schedule="cyclic", crit=None, seed=None, track_energy=Tr
             elif trace is not None:
                 trace.append(trace[-1])
         if not changed:
-            return RunReport(x, sweep, Outcome.STABLE, 1, trace, seed)
-    return RunReport(x, crit.max_iters, Outcome.BUDGET_EXHAUSTED, None, trace, seed)
+            return RunReport(x, sweep, Outcome.STABLE, 1, trace)
+    return RunReport(x, crit.max_iters, Outcome.BUDGET_EXHAUSTED, None, trace)
 
 
 def run_parallel(net, x0, crit=None, track_energy=True):

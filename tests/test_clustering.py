@@ -348,7 +348,7 @@ class TestCensus:
             assert aligned in dhn.stable_states_census(net)
 
     def test_census_requires_classification(self):
-        net = dhn.DhnNetwork(np.zeros((2, 2)), np.zeros((2, 2)), dhn.Activation.IDENTITY)
+        net = dhn.DhnNetwork(np.zeros((2, 2)), np.zeros((2, 2)), dhn.Activation.L2_NORMALIZE)
         with pytest.raises(ValueError):
             dhn.stable_states_census(net)
 

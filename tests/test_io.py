@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dhn
@@ -354,10 +354,13 @@ def _not_an_int(text):
 def usage_errors(draw):
     """(method, flags, DHN_SEED) for a `dhn cluster` call with exactly one bad setting."""
     method = draw(st.sampled_from(METHODS))
-    kind = draw(st.sampled_from(["count", "epsilon", "newman-dim", "env-seed"]))
+    kind = draw(st.sampled_from(["count", "epsilon", "newman-dim", "env-seed", "negative-seed"]))
     if kind == "env-seed":
         ascii_text = st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=6)
         return method, [], draw(ascii_text.filter(_not_an_int))
+    if kind == "negative-seed":
+        seed = draw(st.integers(max_value=-1))
+        return draw(st.sampled_from([(method, [f"--seed={seed}"], "0"), (method, [], str(seed))]))
     if kind == "count":
         flag = draw(st.sampled_from(["--dim", "--max-iters", "--window"]))
         value = draw(st.integers(-5, 0))
@@ -385,6 +388,8 @@ class TestExitCodeContract:
 
     @settings(max_examples=50, deadline=None)
     @given(usage_errors())
+    @example(("plms", ["--seed=-1"], "0"))
+    @example(("lms", [], "-3"))
     def test_bad_flag_or_env_seed_exits_2_before_reading_input(self, tmp_path_factory, case):
         method, flags, env_seed = case
         folder = tmp_path_factory.mktemp("usage")
@@ -664,6 +669,17 @@ class TestClusterCommand:
         assert "DHN_SEED" in err and "'abc'" in err
         assert not out.exists()
 
+    def test_failed_allocation_exits_4_without_output(self, tmp_path, karate_file, capsys):
+        # a 34 x 10^15 state is beyond any 64-bit address space, so the request fails at once
+        out = tmp_path / "x.json"
+        code = run_cli(
+            ["cluster", "--method", "plms", "--dim", 10**15, "--input", karate_file,
+             "--output", out]
+        )
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_cleora_writes_embedding(self, tmp_path, karate_file):
         out = tmp_path / "cleora.json"
         assert run_cli(
@@ -816,3 +832,7 @@ class TestRunConfig:
     def test_dim_validated(self):
         with pytest.raises(ValueError):
             RunConfig(method="lms", dim=0)
+
+    def test_seed_validated(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            RunConfig(method="lms", seed=-1)
