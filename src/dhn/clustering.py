@@ -97,7 +97,9 @@ class Clustering:
     d: int
 
     def __init__(self, assignment: Sequence[int], d: int):
-        assignment = tuple(map(int, assignment))
+        a = assignment
+        ints = isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"
+        assignment = tuple(a.tolist() if ints else map(int, a))  # tolist() is ten times faster
         if d < 1:
             raise ValueError("cluster count d must be positive")
         if assignment and not (0 <= min(assignment) and max(assignment) < d):

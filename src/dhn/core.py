@@ -41,6 +41,8 @@ __all__ = [
 # Rows with l2 norm below this are treated as exactly zero by the row
 # normalizer, so near-underflow rows cannot blow up.
 _ZERO_ROW_NORM = 1e-300
+# values per block of rows whose norms _normalize_rows_inplace takes at once
+_NORM_BLOCK_VALUES = 2**15
 
 
 class Activation(Enum):
@@ -87,12 +89,22 @@ def _onehot(labels: np.ndarray, d: int) -> np.ndarray:
 
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     """Scale every nonzero row to unit l2 norm; (near-)zero rows stay zero."""
-    m = np.asarray(m, dtype=float)
+    m = np.array(m, dtype=float)
     if m.ndim != 2:
         raise ValueError("l2_normalize_rows expects a 2-d matrix")
-    norms = np.linalg.norm(m, axis=1)
+    return _normalize_rows_inplace(m)
+
+
+def _normalize_rows_inplace(m: np.ndarray) -> np.ndarray:
+    """l2_normalize_rows written over a float matrix; norms a block of rows at a time."""
+    norms = np.empty(m.shape[0])
+    step = max(1, _NORM_BLOCK_VALUES // max(m.shape[1], 1))
+    for start in range(0, m.shape[0], step):
+        norms[start : start + step] = np.linalg.norm(m[start : start + step], axis=1)
     keep = norms >= _ZERO_ROW_NORM
-    return np.divide(m, norms[:, None], out=np.zeros(m.shape), where=keep[:, None])
+    np.divide(m, norms[:, None], out=m, where=keep[:, None])
+    m[~keep] = 0.0
+    return m
 
 
 def stiefel_project(m: np.ndarray) -> np.ndarray:

@@ -46,6 +46,12 @@ class TestTypes:
         with pytest.raises(ValueError, match=rf"^cluster index {first_bad} outside 0\.\.1$"):
             dhn.Clustering(assignment, d=2)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_clustering_from_integer_array_holds_builtin_ints(self, dtype):
+        c = dhn.Clustering(np.array([1, 0, 2, 1], dtype=dtype), d=3)
+        assert c.assignment == (1, 0, 2, 1)
+        assert all(type(a) is int for a in c.assignment)  # so result JSON stays the same
+
     def test_matrix_round_trip(self):
         c = dhn.Clustering([2, 0, 2, 1], d=3)
         assert dhn.clustering_from_matrix(dhn.clustering_to_matrix(c)) == c

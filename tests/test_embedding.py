@@ -1,8 +1,12 @@
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dhn
@@ -90,9 +94,9 @@ class TestRunCleora:
         start = np.random.default_rng(0).uniform(-1, 1, size=(3, 2))
         assert np.array_equal(run_cleora(empty, 2, iters=0, seed=0), start)
 
-    def test_peak_memory_is_two_states(self):
-        # each step drops the old state before W X is normalized; keeping it held three
-        # n x d states and peaked at 3.04 states with numpy 2.4 and SciPy 1.17 (now 2.04)
+    def test_peak_memory_is_one_state(self):
+        # W X is formed 8 columns at a time over the state and normalized in place: 1.25
+        # states with numpy 2.4 and SciPy 1.17 (a new W X and a normalized copy: 2.04)
         g = planted_graph(np.random.default_rng(1), 6000, 20)
         run_cleora(g, 64, seed=0)  # first-call allocations are not the run's
         tracemalloc.start()
@@ -101,7 +105,32 @@ class TestRunCleora:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.2 * x.nbytes
+        assert peak <= 1.3 * x.nbytes
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=9)),
+        st.integers(1, 20),
+    )
+    def test_in_place_normalizer_is_bitwise_the_whole_matrix_one(self, m, block_values):
+        # the formula l2_normalize_rows used before its norms were taken a block at a time
+        with np.errstate(all="ignore"):
+            norms = np.linalg.norm(m, axis=1)
+            keep = norms >= 1e-300
+            want = np.divide(m, norms[:, None], out=np.zeros(m.shape), where=keep[:, None])
+            with mock.patch.object(dhn.core, "_NORM_BLOCK_VALUES", block_values):
+                got = dhn.core._normalize_rows_inplace(m.copy())
+                public = dhn.l2_normalize_rows(m)
+        assert got.tobytes() == want.tobytes() == public.tobytes()
+
+    def test_column_blocks_give_the_whole_product(self):
+        g = planted_graph(np.random.default_rng(2), 300, 3)
+        x = np.random.default_rng(5).uniform(-1, 1, size=(g.n, 19))
+        for _ in range(3):
+            x = dhn.l2_normalize_rows(g.weights @ x)
+        for columns in (1, 4, 19, 64):
+            with mock.patch.object(dhn.embedding, "_PRODUCT_COLUMNS", columns):
+                assert run_cleora(g, 19, seed=5).tobytes() == x.tobytes()
 
     def test_isolated_node_keeps_its_zero_row(self):
         g = dhn.WeightedGraph([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -190,3 +219,75 @@ class TestEmbeddingExport:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+def near_power_of_ten(k, ulps):
+    """The double ``ulps`` steps from the double nearest 10**k."""
+    return float((np.array(float(f"1e{k}")).view(np.int64) + ulps).view(np.float64))
+
+
+FALLBACK_VALUES = [0.0, -0.0, 5e-324, 1e-300, 1.0, -1.0, 1e16, np.nan, np.inf, -np.inf]
+SIGNS = st.sampled_from([1.0, -1.0])
+FORMATTER_VALUES = st.one_of(
+    st.builds(
+        lambda k, ulps, sign: sign * near_power_of_ten(k, ulps),
+        st.integers(-5, 0),
+        st.integers(-200, 200),
+        SIGNS,
+    ),
+    st.builds(lambda v, sign: sign * v, st.floats(5e-5, 2e-4), SIGNS),
+    st.builds(lambda v, sign: sign * v, st.floats(0.5, 2.0), SIGNS),
+    st.floats(-1.0, 1.0),
+    st.sampled_from(FALLBACK_VALUES),
+)
+
+
+class TestVectorisedFormatter:
+    """write_embedding's numpy %.17g against the per-value writer, in blocks of a few values."""
+
+    @pytest.mark.parametrize("k", range(-5, 1))
+    def test_bytes_equal_within_200_ulps_of_powers_of_ten(self, tmp_path, k):
+        values = np.array([near_power_of_ten(k, ulps) for ulps in range(-200, 201)])
+        assert_same_bytes(tmp_path, np.stack([values, -values[::-1]], axis=1))
+        if -4 <= k <= -1:
+            # the double nearest 10**k lies above it, and the one below prints below 10**k,
+            # so no double rounds up to 10**k at 17 digits
+            assert Fraction(float(f"1e{k}")) > Fraction(1, 10**-k)
+            assert Decimal(f"{near_power_of_ten(k, -1):.17g}") < Decimal(f"1e{k}")
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.integers(0, 9), st.integers(0, 7), st.integers(1, 12))
+    def test_bytes_equal_on_mixed_values(self, tmp_path_factory, data, n, d, block_values):
+        embedding = data.draw(hnp.arrays(np.float64, (n, d), elements=FORMATTER_VALUES))
+        with mock.patch.object(dhn.embedding, "_BLOCK_VALUES", block_values):
+            assert_same_bytes(tmp_path_factory.mktemp("emb"), embedding)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(1, 9), st.integers(1, 30))
+    def test_bytes_equal_on_unit_rows(self, tmp_path_factory, seed, n, d, block_values):
+        rows = np.random.default_rng(seed).standard_normal((n, d))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        with mock.patch.object(dhn.embedding, "_BLOCK_VALUES", block_values):
+            assert_same_bytes(tmp_path_factory.mktemp("emb"), rows)
+
+    @pytest.mark.parametrize("labels_kind", ["none", "int", "str"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: x[:0],
+            lambda x: x[:, :0],
+            lambda x: x[::2, 1::3],
+            lambda x: x.astype(np.float32),
+            lambda x: x,
+        ],
+        ids=["n=0", "d=0", "slice", "float32", "whole"],
+    )
+    def test_bytes_equal_on_shapes_and_labels(self, tmp_path, make, labels_kind):
+        x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(11, 7))
+        x[3, 2], x[6, :] = 5e-5, 0.0
+        embedding = make(x)
+        n = embedding.shape[0]
+        labels = {"none": None, "int": list(range(100, 100 + n)), "str": [f"v{i}" for i in range(n)]}
+        labels = labels[labels_kind]
+        with mock.patch.object(dhn.embedding, "_BLOCK_VALUES", 5):
+            assert_same_bytes(tmp_path, embedding, labels)
