@@ -210,9 +210,7 @@ def build_extended_graph(weights, bias, coupling) -> ExtendedGraph:
     if coupling.size and float(np.max(np.abs(coupling - coupling.T))) > _SYMMETRY_TOL:
         raise ValueError("coupling matrix must be symmetric")
     if bias.shape != (base.n, coupling.shape[0]):
-        raise ValueError(
-            f"bias must be {base.n}x{coupling.shape[0]}, got {bias.shape[0]}x{bias.shape[1]}"
-        )
+        raise ValueError(f"bias must be {base.n}x{coupling.shape[0]}, got shape {bias.shape}")
     return ExtendedGraph(base, bias, coupling)
 
 

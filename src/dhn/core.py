@@ -310,7 +310,10 @@ class RunReport:
     ``cycle_length`` is 1 for a stable state, 2 for a two-cycle, k for a longer
     detected cycle, None when the budget ran out.  ``energy_trace`` is recorded
     for classification runs only: one entry for the initial state plus one per
-    update step.  ``final_state`` is the n x d state matrix, except for
+    update step (per node visit for serial runs, so 1 + n * sweeps entries).
+    A result document keeps the entries at iteration boundaries: every
+    ((len - 1) / iterations)-th one, so 1 + iterations entries whatever the
+    method.  ``final_state`` is the n x d state matrix, except for
     ``run_lms``, whose search runs on labels: there it is the length-n label
     vector, and its scores are the vol^2-scaled ΔQ, exact on integer weights.
     """

@@ -36,7 +36,7 @@ __all__ = [
     "write_result",
 ]
 
-RESULT_FORMAT_VERSION = 1
+RESULT_FORMAT_VERSION = 2
 
 METHODS = ("lms", "plms", "gnm", "sgnm", "gnm-lms", "newman", "cleora")
 
@@ -252,7 +252,8 @@ def result_document(
     iterations, outcome, energy_trace = config.max_iters, None, None
     if report is not None:
         iterations, outcome = report.iterations, report.outcome.value
-        energy_trace = report.energy_trace
+        if report.energy_trace is not None:  # the start, then the end of each iteration
+            energy_trace = report.energy_trace[:: (len(report.energy_trace) - 1) // iterations]
     return {
         "format_version": RESULT_FORMAT_VERSION,
         "method": config.method,

@@ -362,3 +362,46 @@ class TestCensus:
         net = dhn.DhnNetwork(np.zeros((30, 30)), np.zeros((30, 4)))
         with pytest.raises(dhn.InstanceTooLargeError):
             dhn.stable_states_census(net)
+
+
+# each input check with the exception and message it raises
+INPUT_CHECKS = [
+    pytest.param(
+        lambda: dhn.WeightedGraph(np.ones((3, 3)) - np.eye(3), node_labels=["a", "b"]),
+        ValueError, "node_labels length must equal the node count", id="node-labels-length",
+    ),
+    pytest.param(
+        lambda: dhn.validate_clustering_matrix(np.zeros((3, 0))),
+        ValueError, "must be n x d with d >= 1", id="n-by-0-clustering-matrix",
+    ),
+    pytest.param(
+        lambda: dhn.d_cut_value(triangle(), dhn.Clustering([0, 1], 2)),
+        ValueError, "covers 2 nodes but the graph has 3", id="d-cut-size",
+    ),
+    pytest.param(
+        lambda: dhn.d_cut_via_trace(triangle(), np.eye(2)),
+        ValueError, "matrix has 2 rows but the graph has 3 nodes", id="d-cut-via-trace-size",
+    ),
+    pytest.param(
+        lambda: dhn.build_extended_graph(triangle().weights, np.zeros((3, 2)), np.zeros((2, 3))),
+        ValueError, "coupling matrix must be square", id="non-square-coupling",
+    ),
+    pytest.param(
+        lambda: dhn.build_extended_graph(triangle().weights, np.zeros((3, 3)), np.zeros((2, 2))),
+        ValueError, r"bias must be 3x2, got shape \(3, 3\)", id="bias-shape",
+    ),
+    pytest.param(
+        lambda: dhn.build_extended_graph(triangle().weights, np.zeros(3), np.zeros((2, 2))),
+        ValueError, r"bias must be 3x2, got shape \(3,\)", id="one-dimensional-bias",
+    ),
+    pytest.param(
+        lambda: dhn.brute_force_min_dcut(triangle(), 0),
+        ValueError, "cluster count d must be positive", id="brute-force-zero-clusters",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", INPUT_CHECKS)
+def test_input_check_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -417,3 +417,30 @@ class TestMaxAsymmetry:
             shape=(2, 2),
         )
         assert dhn.core.max_asymmetry(m) == 0.0
+
+
+# each input check with the exception and message it raises
+INPUT_CHECKS = [
+    pytest.param(
+        lambda: dhn.l2_normalize_rows(np.ones(3)),
+        ValueError, "l2_normalize_rows expects a 2-d matrix", id="normalize-1d",
+    ),
+    pytest.param(
+        lambda: dhn.DhnNetwork(np.zeros((2, 2)), np.zeros((2, 2)), "classification"),
+        TypeError, "activation must be an Activation member", id="activation-type",
+    ),
+    pytest.param(
+        lambda: dhn.run_serial(two_neuron_net(), np.eye(2, 3)),
+        ValueError, r"state must be 2x2, got \(2, 3\)", id="run-serial-start-shape",
+    ),
+    pytest.param(
+        lambda: dhn.run_parallel(two_neuron_net(), np.eye(3, 2)),
+        ValueError, r"state must be 2x2, got \(3, 2\)", id="run-parallel-start-shape",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", INPUT_CHECKS)
+def test_input_check_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -48,3 +48,21 @@ def test_two_component_graph_is_disconnected():
     # seeded determinism
     h = two_component_graph(4, 5, seed=3)
     assert np.array_equal(g.weights.toarray(), h.weights.toarray())
+
+
+# each input check with the exception and message it raises
+INPUT_CHECKS = [
+    pytest.param(
+        lambda: disjoint_pairs_graph(0), ValueError, "need at least one pair", id="no-pairs"
+    ),
+    pytest.param(
+        lambda: two_component_graph(1, 3), ValueError, "each component needs at least 2 nodes",
+        id="one-node-component",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", INPUT_CHECKS)
+def test_input_check_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -405,6 +405,13 @@ class TestExitCodeContract:
         assert "absent.edges" not in stderr.getvalue()
         assert list(folder.iterdir()) == []
 
+    @pytest.mark.parametrize("text", ["", " \n\t\n\n"])
+    def test_file_without_edges_exits_3(self, tmp_path, capsys, text):
+        path, out = write(tmp_path, text), tmp_path / "x.json"
+        assert main(["cluster", "--method", "lms", "--input", str(path), "--output", str(out)]) == 3
+        assert "edge list contains no edges" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @st.composite
 def nonpositive_edge_lists(draw):
@@ -527,7 +534,7 @@ class TestClusterCommand:
         out = tmp_path / "lms.json"
         assert run_cli(["cluster", "--method", "lms", "--input", karate_file, "--output", out]) == 0
         doc = load_result(out)
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
         assert doc["modularity"] >= 0.38
         # independent re-scoring of the emitted assignment
         rescored = score_assignment(karate_club(), doc["assignment"])
@@ -715,7 +722,13 @@ class TestDispatch:
         assert document["assignment"] == dict(zip(g.labels(), map(int, clustering.assignment)))
         assert document["iterations"] == report.iterations
         assert document["outcome"] == report.outcome.value
-        assert document["energy_trace"] == report.energy_trace
+        if report.energy_trace is None:
+            assert document["energy_trace"] is None
+        else:  # the start, then the energy after each lms sweep (n visits) or plms step
+            visits = {"lms": g.n, "plms": 1}[method]
+            assert len(report.energy_trace) == 1 + visits * report.iterations
+            assert document["energy_trace"] == report.energy_trace[::visits]
+            assert len(document["energy_trace"]) == document["iterations"] + 1
 
     @pytest.mark.parametrize(
         "method, name",
@@ -782,6 +795,34 @@ class TestEvalCommand:
         printed = capsys.readouterr().out
         rescored = float(printed.split("modularity")[1].split()[0])
         assert rescored == pytest.approx(stored["modularity"], abs=1e-9)
+
+    def test_format_version_1_document_is_re_scored(self, tmp_path, karate_file, capsys):
+        # a document as version 1 stored it, every per-visit lms energy in the trace;
+        # eval reads only the assignment, so the stored scores are placeholders
+        g = karate_club()
+        clustering, report = run_lms(g)
+        stored = tmp_path / "v1.json"
+        stored.write_text(json.dumps({
+            "format_version": 1,
+            "method": "lms",
+            "config": {"dim": 2, "seed": 0, "epsilon": 1e-8, "window": 2, "max_iters": 1000,
+                       "input": str(karate_file), "directed_reject": False},
+            "n_nodes": g.n,
+            "assignment": dict(zip(g.labels(), map(int, clustering.assignment))),
+            "embedding_path": None,
+            "modularity": 0.0,
+            "d_cut": 0.0,
+            "energy_trace": report.energy_trace,
+            "iterations": report.iterations,
+            "outcome": report.outcome.value,
+            "wall_time_s": 0.1,
+        }, indent=2))
+        assert len(report.energy_trace) == 1 + g.n * report.iterations
+        assert run_cli(["eval", "--input", karate_file, "--assignment", stored]) == 0
+        printed = capsys.readouterr().out.split()
+        scores = dict(zip(printed[0::2], map(float, printed[1::2])))
+        assert scores == {"modularity": dhn.modularity_score(g, clustering),
+                          "d_cut": dhn.d_cut_value(g, clustering)}
 
     def test_result_is_strict_json(self, tmp_path):
         out = tmp_path / "nan.json"

@@ -412,3 +412,30 @@ class TestNewmanBisect:
         # sgn(0) = +1 can move a zero entry across, but v has no exact zeros here
         assert np.all(v != 0.0)
         assert a.same_partition(b)
+
+
+# each input check with the exception and message it raises
+INPUT_CHECKS = [
+    pytest.param(
+        lambda: dhn.modularity_score(ring_graph(4), dhn.Clustering([0, 1, 0], 2)),
+        ValueError, "covers 3 nodes but the graph has 4", id="modularity-score-size",
+    ),
+    pytest.param(
+        lambda: dhn.louvain_update(ring_graph(4), dhn.Clustering([0, 0, 1, 1], 2), 4),
+        IndexError, "node 4 out of range for n=4", id="louvain-node-above-range",
+    ),
+    pytest.param(
+        lambda: dhn.louvain_update(ring_graph(4), dhn.Clustering([0, 0, 1, 1], 2), -1),
+        IndexError, "node -1 out of range for n=4", id="louvain-negative-node",
+    ),
+    pytest.param(
+        lambda: dhn.power_method(np.zeros((0, 0))),
+        ValueError, "power_method expects a nonempty square matrix", id="power-method-empty",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", INPUT_CHECKS)
+def test_input_check_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
