@@ -488,8 +488,9 @@ def run_parallel(
 
     A classification step forms one W X, from the new state's labels
     (``WeightMatrix.onehot_product``); its energy and the next step read it.
-    States, energies and ties are bit for bit those of ``parallel_step`` and
-    ``energy``.
+    Revisits are found on the label vectors, and a start that is not one-hot
+    can match no later state.  States, energies and ties are bit for bit those
+    of ``parallel_step`` and ``energy``.
     """
     crit = crit if crit is not None else ConvergenceCriterion()
     x = np.asarray(x0, dtype=float)  # steps leave it unmodified, so no copy
@@ -498,18 +499,21 @@ def run_parallel(
     if net.activation is not Activation.CLASSIFICATION:
         return iterate(lambda x: parallel_step(net, x), x, crit)
 
-    wx = net.weights @ x
+    labels = np.argmax(x, axis=1)
+    onehot = np.array_equal(x, _onehot(labels, net.d))
+    wx = net.weights.onehot_product(labels, x) if onehot else net.weights @ x
     trace = [_energy(net, x, wx)]
 
-    def step(_):  # iterate passes the state whose W X is wx
+    def step(_):  # iterate passes the labels of the state whose W X is wx
         nonlocal wx
         h = np.add(wx, net.bias, out=wx)  # W X of the old state is spent once h is formed
         labels = np.argmax(h, axis=1)
         x = _onehot(labels, net.d)
         wx = net.weights.onehot_product(labels, x, out=h)
         trace.append(_energy(net, x, wx))
-        return x
+        return labels
 
-    report = iterate(step, x, crit, exact=True)
+    report = iterate(step, labels if onehot else np.full(net.n, -1), crit, exact=True)
+    report.final_state = _onehot(report.final_state, net.d)
     report.energy_trace = trace
     return report

@@ -97,10 +97,12 @@ def build_lms_network(graph: WeightedGraph, d: int) -> DhnNetwork:
     """The classification network whose serial dynamics is greedy modularity search.
 
     Weights are Q with the diagonal zeroed (symmetric, nonnegative diagonal),
-    bias is the n x d zero matrix: d potential clusters.
+    bias is zero, held as a read-only n x d view of one 0.0 (strides (0, 0)):
+    d potential clusters.
     """
     mm = modularity_matrix(graph)
-    return DhnNetwork(mm.q.zero_diagonal(), np.zeros((graph.n, d)), Activation.CLASSIFICATION)
+    bias = np.broadcast_to(0.0, (graph.n, d))
+    return DhnNetwork(mm.q.zero_diagonal(), bias, Activation.CLASSIFICATION)
 
 
 class _ClusterDegrees:

@@ -30,7 +30,7 @@ __all__ = ["run_gnm", "run_gnm_plus_lms", "run_sgnm"]
 
 def _frame_network(graph: WeightedGraph, d: int) -> DhnNetwork:
     q = modularity_matrix(graph).q
-    return DhnNetwork(q, np.zeros((graph.n, d)), Activation.STIEFEL_PROJECTION)
+    return DhnNetwork(q, np.broadcast_to(0.0, (graph.n, d)), Activation.STIEFEL_PROJECTION)
 
 
 def _initial_frame(n: int, d: int, seed: Optional[int]) -> np.ndarray:

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 import dhn
 import reference_runs as ref
-from dhn.core import Activation, ConvergenceCriterion, Outcome, iterate
+from dhn.core import Activation, ConvergenceCriterion, Outcome, _onehot, iterate
+from dhn.graphs import disjoint_pairs_graph
 from dhn.modularity import _lms_sweeps
 
-from conftest import random_positive_graph, random_symmetric
+from conftest import planted_graph, random_positive_graph, random_symmetric
 
 criteria = st.builds(
     ConvergenceCriterion,
@@ -204,3 +205,51 @@ class TestMatchesReferenceLoops:
         for sweeps, track in ((1, False), (1000, True)):
             got = _lms_sweeps(g, labels, d, sweeps, track_energy=track)
             assert_same_report(got, ref.lms_sweeps(g, labels, d, sweeps, track_energy=track))
+
+    def test_run_plms_at_scale(self):
+        # the reference keeps every one-hot state and adds an explicit zeros bias
+        g = planted_graph(np.random.default_rng(3), 2400, 12)
+        d, crit = 16, ConvergenceCriterion(max_iters=12)
+        net = replace(dhn.build_lms_network(g, d), bias=np.zeros((g.n, d)))
+        x0 = _onehot(np.random.default_rng(4).integers(0, d, size=g.n), d)
+        clustering, got = dhn.run_plms(g, d, seed=4, crit=crit)
+        want = ref.run_parallel(net, x0, crit)
+        assert_same_report(got, want)
+        assert got.iterations > 1
+        if want.cycle_length != 2:
+            assert clustering.assignment == tuple(np.argmax(want.final_state, axis=1))
+
+
+class TestLabelHistory:
+    """Classification runs find revisits on label vectors; the reference compares one-hot states."""
+
+    # on two disjoint unit edges, the two components are a parallel fixed point and
+    # splitting both edges alike flips every node each step
+    SPLIT, CROSSED = [0, 0, 1, 1], [0, 1, 0, 1]
+
+    def run_both(self, x0):
+        net = dhn.build_lms_network(disjoint_pairs_graph(2), 2)
+        got = dhn.run_parallel(net, x0)
+        assert_same_report(got, ref.run_parallel(net, x0))
+        return got
+
+    def test_one_hot_fixed_point_is_stable_at_once(self):
+        report = self.run_both(_onehot(np.array(self.SPLIT), 2))
+        assert (report.outcome, report.iterations) == (Outcome.STABLE, 1)
+
+    def test_two_cycle_through_the_start(self):
+        report = self.run_both(_onehot(np.array(self.CROSSED), 2))
+        assert (report.outcome, report.iterations) == (Outcome.TWO_CYCLE, 2)
+
+    def test_scaled_one_hot_start_is_no_revisit(self):
+        # same argmax as the one-hot state, but no step can return to it
+        stable = self.run_both(2.0 * _onehot(np.array(self.SPLIT), 2))
+        assert (stable.outcome, stable.iterations) == (Outcome.STABLE, 2)
+        cycle = self.run_both(2.0 * _onehot(np.array(self.CROSSED), 2))
+        assert (cycle.outcome, cycle.iterations) == (Outcome.TWO_CYCLE, 3)
+
+    def test_start_with_a_nan_entry(self):
+        x0 = _onehot(np.array(self.SPLIT), 2)
+        x0[1, 0] = np.nan
+        report = self.run_both(x0)
+        assert np.isnan(report.energy_trace[0])

@@ -1,14 +1,16 @@
 import itertools
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dhn
-from dhn.core import ConvergenceCriterion, Outcome
+from dhn.core import Activation, ConvergenceCriterion, Outcome
 from dhn.graphs import disjoint_pairs_graph, karate_club, ring_graph
 from dhn.modularity import _lms_sweeps
+from dhn.stiefel import _frame_network
 
 from conftest import planted_graph, random_positive_graph
 
@@ -118,6 +120,32 @@ class TestLmsNetwork:
         net = dhn.build_lms_network(g, g.n)
         assert np.all(net.weights.diagonal() == 0.0)
         assert net.d == 2
+
+    @pytest.mark.parametrize("build", [dhn.build_lms_network, _frame_network])
+    def test_zero_bias_is_a_zero_stride_view(self, build):
+        bias = build(karate_club(), 4).bias
+        assert bias.shape == (34, 4)
+        assert bias.strides == (0, 0)
+        assert not bias.flags.writeable
+        assert np.all(bias == 0.0)
+
+    @pytest.mark.parametrize("build", [dhn.build_lms_network, _frame_network])
+    def test_zero_stride_bias_steps_as_explicit_zeros(self, build):
+        g = karate_club()
+        net = build(g, 4)
+        zeros = replace(net, bias=np.zeros((g.n, 4)))
+        assert zeros.bias.strides != (0, 0)
+        rng = np.random.default_rng(8)
+        frame = dhn.stiefel_project(rng.uniform(-1.0, 1.0, size=(g.n, 4)))
+        onehot = dhn.clustering_to_matrix(dhn.Clustering(rng.integers(0, 4, size=g.n), 4))
+        classify = net.activation is Activation.CLASSIFICATION
+        for x in (frame, onehot) if classify else (frame,):  # Q X of a one-hot X has rank < d
+            assert dhn.parallel_step(net, x).tobytes() == dhn.parallel_step(zeros, x).tobytes()
+            assert dhn.energy(net, x) == dhn.energy(zeros, x)
+        if classify:  # serial mode is undefined for frames
+            for i in range(g.n):
+                got, want = dhn.serial_step(net, onehot, i), dhn.serial_step(zeros, onehot, i)
+                assert got.tobytes() == want.tobytes()
 
     def test_serial_energy_monotone_from_identity(self):
         rng = np.random.default_rng(3)
@@ -292,8 +320,8 @@ class TestLmsExactOracle:
 
 class TestRunPlms:
     def test_peak_memory_of_a_budgeted_run(self):
-        # one W X per step, formed from the labels into the spent pre-activation, and shared
-        # with the energy: no step may hold more than the two-product step did
+        # the run's history holds label vectors, not n x d one-hot states, and the zero bias
+        # is a zero-stride view, so the operator build in build_lms_network sets the peak
         g = planted_graph(np.random.default_rng(45), 4500, 16)
         crit = ConvergenceCriterion(max_iters=12)
         dhn.run_plms(g, 16, seed=0, crit=crit)  # first-call allocations are not the run's
@@ -303,9 +331,9 @@ class TestRunPlms:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # two products per step (parallel_step, then energy) peaked at 5,411,522 B with
-        # numpy 2.4 and SciPy 1.17; one product per step at 5,316,108 B
-        assert peak <= 5_411_522
+        # with numpy 2.4 and SciPy 1.17 the run peaked at 3,762,728 B and the build alone at
+        # 3,762,592 B; one-hot states in the history and an n x d zeros bias took 5,316,108 B
+        assert peak <= 3_840_000
 
     def test_outcomes_are_short_cycles(self):
         rng = np.random.default_rng(6)
