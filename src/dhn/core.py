@@ -233,10 +233,27 @@ class WeightMatrix:
         return self.sparse.diagonal() + self.vector * (self.coef * self.vector)
 
     def zero_diagonal(self) -> "WeightMatrix":
-        """The same matrix with every diagonal entry exactly zero."""
-        s = self.sparse - sp.diags_array(self.sparse.diagonal())
-        s = s - sp.diags_array(self.vector * (self.coef * self.vector))
-        return WeightMatrix(s, self.vector, self.coef)
+        """The same matrix with every diagonal entry exactly zero.
+
+        S's diagonal becomes r = 0 - u * (coef * u), which cancels the rank-one
+        term's, in one pass over the CSR arrays: the arrays, dtypes included,
+        of subtracting diag(S) and then the rank-one diagonal, at one new copy.
+        """
+        s, u = self.sparse, self.vector
+        r = 0.0 - u * (self.coef * u)
+        rows = np.repeat(np.arange(self.n), np.diff(s.indptr))
+        rows = rows[s.indices < rows]  # the row of each entry left of its diagonal
+        at = s.indptr[:-1] + np.bincount(rows, minlength=self.n)  # diagonal slots, stored or not
+        del rows
+        missing = s.diagonal() == 0.0  # canonical: a stored entry is nonzero
+        new = np.flatnonzero(missing)
+        data = np.insert(s.data, at[new], r[new])
+        indices = np.insert(s.indices, at[new], new.astype(s.indices.dtype, copy=False))
+        shift = np.concatenate(([0], np.cumsum(missing)))
+        data[(at + shift[:-1])[~missing]] = r[~missing]
+        indptr = s.indptr + shift.astype(s.indptr.dtype)
+        # canonical_csr drops the zero r_i (rows whose u_i * coef is 0) in place
+        return WeightMatrix(sp.csr_array((data, indices, indptr), s.shape), u, self.coef)
 
     def toarray(self) -> np.ndarray:
         """Dense n x n copy, for exhaustive oracles and reference checks."""
@@ -503,6 +520,7 @@ def run_parallel(
     onehot = np.array_equal(x, _onehot(labels, net.d))
     wx = net.weights.onehot_product(labels, x) if onehot else net.weights @ x
     trace = [_energy(net, x, wx)]
+    del x0, x  # the labels and wx stand for the start from here on
 
     def step(_):  # iterate passes the labels of the state whose W X is wx
         nonlocal wx

@@ -24,7 +24,6 @@ from .core import (
     WeightMatrix,
     _onehot,
     iterate,
-    parallel_step,
     run_parallel,
 )
 
@@ -287,11 +286,14 @@ def run_plms(
     a two-cycle; on a two-cycle the higher-modularity cycle state is returned.
     """
     net = build_lms_network(graph, d)
-    x0 = _onehot(np.random.default_rng(seed).integers(0, d, size=graph.n), d)
-    report = run_parallel(net, x0, crit=crit)
-    best = Clustering(np.argmax(report.final_state, axis=1), d)
-    if report.cycle_length == 2:
-        other = Clustering(np.argmax(parallel_step(net, report.final_state), axis=1), d)
+    rng = np.random.default_rng(seed)
+    # the start is not named here, so run_parallel frees it early (CPython >= 3.11)
+    report = run_parallel(net, _onehot(rng.integers(0, d, size=graph.n), d), crit=crit)
+    labels = np.argmax(report.final_state, axis=1)
+    best = Clustering(labels, d)
+    if report.cycle_length == 2:  # the other cycle state is one step on: O(nnz + n d)
+        h = net.weights.onehot_product(labels, report.final_state) + net.bias
+        other = Clustering(np.argmax(h, axis=1), d)
         if modularity_score(graph, other) > modularity_score(graph, best):
             best = other
     return best, report

@@ -2,18 +2,22 @@
 
 Each keeps its own revisit history and builds its own outcome.  They are the
 reference that the driver-based runs must reproduce bit for bit: final state,
-iteration count, outcome, cycle length and energy trace.
+iteration count, outcome, cycle length and energy trace.  ``zero_diagonal`` is
+the two-subtraction build that ``WeightMatrix.zero_diagonal`` must reproduce
+array for array.
 """
 
 from collections import deque
 
 import numpy as np
+import scipy.sparse as sp
 
 from dhn.core import (
     Activation,
     ConvergenceCriterion,
     Outcome,
     RunReport,
+    WeightMatrix,
     _row_preactivation,
     _row_update_energy_delta,
     _serial_row,
@@ -119,6 +123,12 @@ def lms_sweeps(graph, labels, d, max_sweeps, track_energy):
         if not moved:
             return RunReport(np.array(labels), sweep, Outcome.STABLE, 1, trace)
     return RunReport(np.array(labels), max_sweeps, Outcome.BUDGET_EXHAUSTED, None, trace)
+
+
+def zero_diagonal(w):
+    s = w.sparse - sp.diags_array(w.sparse.diagonal())
+    s = s - sp.diags_array(w.vector * (w.coef * w.vector))
+    return WeightMatrix(s, w.vector, w.coef)
 
 
 def power_method(m, v0, crit=None):

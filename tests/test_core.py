@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dhn
+import reference_runs as ref
 from dhn.core import Activation, Outcome
 from dhn.graphs import ring_graph
 from dhn.io import load_edge_list, write_edge_list
@@ -364,6 +365,30 @@ class TestOperatorWeights:
         out = rng.uniform(size=(n, d))  # stale values must not leak into the result
         assert operator.onehot_product(labels, x, out=out) is out
         assert out.tobytes() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        density=st.floats(0.0, 1.0),
+        coef=st.sampled_from([0.0, 1.0, -0.37, 2.5e-3]),
+        index=st.sampled_from([np.int32, np.int64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_zero_diagonal_is_the_two_subtraction_build(self, n, density, coef, index, seed):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((n, n)) < density
+        w = rng.integers(-3, 4, size=(n, n)) * rng.choice([1.0, 0.37], size=(n, n)) * mask
+        w[rng.random(n) < 0.2] = 0.0  # empty rows; negative entries and self-loops stay
+        u = rng.uniform(-2.0, 2.0, size=n)
+        isolated = rng.random(n) < 0.2  # nodes of zero degree: no entry and u_i = 0
+        w[isolated], w[:, isolated], u[isolated] = 0.0, 0.0, 0.0
+        s = sp.csr_array(w)
+        s = sp.csr_array((s.data, s.indices.astype(index), s.indptr.astype(index)), s.shape)
+        got = dhn.WeightMatrix(s, u, coef).zero_diagonal().sparse
+        want = ref.zero_diagonal(dhn.WeightMatrix(s, u, coef)).sparse
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     def test_no_n_by_n_array_from_load_to_score(self, tmp_path):
         # one n x n float64 array would take 72 MB at n = 3000
