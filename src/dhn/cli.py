@@ -60,7 +60,7 @@ def cluster_command(config: RunConfig, graph: WeightedGraph) -> dict:
 
 
 def eval_command(graph: WeightedGraph, assignment_path) -> dict:
-    """Re-score the assignment stored in a result document (or bare JSON)."""
+    """Re-score the ``assignment`` field of a JSON object, such as a result document."""
     document = load_result(assignment_path)
     assignment = document.get("assignment") if isinstance(document, dict) else None
     if assignment is None:

@@ -326,11 +326,9 @@ class RunReport:
     ``iterations`` counts sweeps for serial runs and parallel steps otherwise.
     ``cycle_length`` is 1 for a stable state, 2 for a two-cycle, k for a longer
     detected cycle, None when the budget ran out.  ``energy_trace`` is recorded
-    for classification runs only: one entry for the initial state plus one per
-    update step (per node visit for serial runs, so 1 + n * sweeps entries).
-    A result document keeps the entries at iteration boundaries: every
-    ((len - 1) / iterations)-th one, so 1 + iterations entries whatever the
-    method.  ``final_state`` is the n x d state matrix, except for
+    for classification runs only: the initial state's energy, then the energy
+    after each sweep or step, so 1 + iterations entries, as a result document
+    stores them.  ``final_state`` is the n x d state matrix, except for
     ``run_lms``, whose search runs on labels: there it is the length-n label
     vector, and its scores are the vol^2-scaled ΔQ, exact on integer weights.
     """
@@ -462,7 +460,9 @@ def run_serial(
     ``iterations`` counts sweeps, the final unchanged sweep included.  With
     symmetric weights, nonnegative diagonal and classification activation
     the run is guaranteed to reach a stable state, in any visit order; other
-    configurations may terminate only through the budget.
+    configurations may terminate only through the budget.  A classification
+    run's energy trace holds the start's energy and each sweep's last, summed
+    from the per-row deltas.
     """
     crit = crit if crit is not None else ConvergenceCriterion()
     x = np.asarray(x0, dtype=float)  # each sweep works on a copy
@@ -473,16 +473,16 @@ def run_serial(
     w_diag = net.weights.diagonal()
 
     def sweep(x):
-        x = x.copy()
+        x, e = x.copy(), trace[-1] if trace is not None else None
         for i in range(net.n):
             h = _row_preactivation(net, x, i)
             new_row = _serial_row(net.activation, h)
             if not np.array_equal(new_row, x[i]):
                 if trace is not None:
-                    trace.append(trace[-1] + _row_update_energy_delta(h, x[i], new_row, w_diag[i]))
+                    e += _row_update_energy_delta(h, x[i], new_row, w_diag[i])
                 x[i] = new_row
-            elif trace is not None:
-                trace.append(trace[-1])
+        if trace is not None:
+            trace.append(e)
         return x
 
     report = iterate(sweep, x, replace(crit, window=1), exact=True)

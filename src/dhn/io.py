@@ -252,8 +252,7 @@ def result_document(
     iterations, outcome, energy_trace = config.max_iters, None, None
     if report is not None:
         iterations, outcome = report.iterations, report.outcome.value
-        if report.energy_trace is not None:  # the start, then the end of each iteration
-            energy_trace = report.energy_trace[:: (len(report.energy_trace) - 1) // iterations]
+        energy_trace = report.energy_trace
     return {
         "format_version": RESULT_FORMAT_VERSION,
         "method": config.method,

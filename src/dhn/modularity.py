@@ -196,41 +196,38 @@ def _csr_views(graph: WeightedGraph) -> tuple:
     return memoryview(w.indptr), memoryview(w.indices), memoryview(w.data)
 
 
-def _lms_sweeps(
-    graph: WeightedGraph, labels, d: int, max_sweeps: int, track_energy: bool
-) -> RunReport:
+def _lms_sweeps(graph: WeightedGraph, labels, d: int, max_sweeps: int) -> RunReport:
     """Cyclic serial sweeps of the LMS network, held as a label vector.
 
     The run of ``run_serial`` on ``build_lms_network(graph, d)`` from the
     one-hot state of ``labels`` (with scores scaled by Vol^2, so exact ties
     on integer weights), without the n x d state: STABLE once a sweep
     moves no node, else BUDGET_EXHAUSTED after ``max_sweeps``; ``iterations``
-    counts sweeps.  The energy trace (Q units, 1 + n * sweeps entries) adds
-    -2 (S_target - S_own) / Vol^2 per move.  ``final_state`` is the label vector.
+    counts sweeps.  The energy (Q units) falls by 2 (S_target - S_own) / Vol^2
+    at each move; the trace holds the start's and each sweep's last, so
+    1 + sweeps entries.  ``final_state`` is the label vector.
     """
     vol = _positive_volume(graph)
-    k = graph.degrees
+    k, w = graph.degrees, graph.weights
     start = np.array([int(c) for c in labels])
     totals = np.bincount(start, weights=k, minlength=d)
-    trace = None
-    if track_energy:
-        w = graph.weights
-        rows = np.repeat(np.arange(graph.n), np.diff(w.indptr))
-        inside = w.data[(start[rows] == start[w.indices]) & (rows != w.indices)].sum()
-        trace = [-(vol * inside - (totals @ totals - k @ k)) / vol**2]
+    rows = np.repeat(np.arange(graph.n), np.diff(w.indptr))
+    inside = w.data[(start[rows] == start[w.indices]) & (rows != w.indices)].sum()
+    del rows
+    trace = [-(vol * inside - (totals @ totals - k @ k)) / vol**2]
     clusters = _ClusterDegrees(totals.tolist())
     csr, degrees = _csr_views(graph), memoryview(k)
 
     def sweep(state):
-        labels = state.tolist()
+        labels, e = state.tolist(), trace[-1]
         for i in range(graph.n):
             k_i = degrees[i]
             target, gain = _best_move(i, labels, clusters, csr, vol, k_i)
-            if target != labels[i]:
+            if target != labels[i]:  # a node that stays has gain +0.0, which changes no float
                 clusters.move(k_i, labels[i], target)
                 labels[i] = target
-            if trace is not None:
-                trace.append(trace[-1] - 2.0 * gain / vol**2)
+                e -= 2.0 * gain / vol**2
+        trace.append(e)
         return np.array(labels)
 
     # the exact fixed point, as in run_serial
@@ -270,7 +267,7 @@ def run_lms(graph: WeightedGraph, crit: Optional[ConvergenceCriterion] = None) -
     RunReport); the report's final state is the length-n label vector.
     """
     crit = crit if crit is not None else ConvergenceCriterion()
-    report = _lms_sweeps(graph, range(graph.n), graph.n, crit.max_iters, track_energy=True)
+    report = _lms_sweeps(graph, range(graph.n), graph.n, crit.max_iters)
     return Clustering(report.final_state, graph.n), report
 
 

@@ -99,7 +99,7 @@ def run_gnm_plus_lms(
     state; iterations count the GNM parallel steps plus the one sweep.
     """
     gnm_clustering, gnm_report = run_gnm(graph, d, seed=seed, crit=crit)
-    sweep = _lms_sweeps(graph, gnm_clustering.assignment, d, 1, track_energy=False)
+    sweep = _lms_sweeps(graph, gnm_clustering.assignment, d, 1)
     clustering = Clustering(sweep.final_state, d)
     final = clustering_to_matrix(clustering)
     return clustering, replace(gnm_report, final_state=final, iterations=gnm_report.iterations + 1)
