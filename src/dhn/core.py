@@ -43,6 +43,8 @@ __all__ = [
 _ZERO_ROW_NORM = 1e-300
 # values per block of rows whose norms _normalize_rows_inplace takes at once
 _NORM_BLOCK_VALUES = 2**15
+# iterate first bounds a directional distance on the leading rows (entries of a vector)
+_HEAD, _HEAD_FLOOR = 4, 1e-150
 
 
 class Activation(Enum):
@@ -204,7 +206,11 @@ class WeightMatrix:
         """W x for a length-n vector or an n x d matrix."""
         x = np.asarray(x, dtype=float)
         u = self.vector
-        return self.sparse @ x + np.multiply.outer(u, self.coef * (u @ x))
+        wx, t = self.sparse @ x, self.coef * (u @ x)
+        # a K = 1 product rounds each u_i t_c once; a -0.0 may come out +0.0, which the
+        # CSR product's sums (started at +0.0, so never -0.0) absorb alike
+        wx += u[:, None] @ t[None, :] if x.ndim == 2 else u * t
+        return wx
 
     def onehot_product(self, labels: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
         """W X for the one-hot X = onehot(labels), bit for bit equal to ``self @ x``.
@@ -302,8 +308,9 @@ class ConvergenceCriterion:
     A run halts when its new state revisits one of the previous ``window``
     states, or after ``max_iters`` sweeps (serial runs) or steps (parallel
     runs).  Argmax states are compared exactly; continuous states match when
-    their directions X / ||X||_F are within ``epsilon`` (Frobenius).  Serial
-    runs only read ``max_iters``: they stop at the exact fixed point.
+    their directions X / ||X||_F are within ``epsilon`` (Frobenius), a test
+    that a distance of 2 ``epsilon`` over the first few rows settles first.
+    Serial runs only read ``max_iters``: they stop at the exact fixed point.
     """
 
     epsilon: float = 1e-8
@@ -379,7 +386,9 @@ def serial_step(net: DhnNetwork, x: np.ndarray, neuron: int) -> np.ndarray:
 
 def parallel_step(net: DhnNetwork, x: np.ndarray) -> np.ndarray:
     """Update all neurons simultaneously: activation(W X + B)."""
-    return _apply_matrix(net.activation, net.weights @ np.asarray(x, dtype=float) + net.bias)
+    h = net.weights @ np.asarray(x, dtype=float)
+    h += net.bias
+    return _apply_matrix(net.activation, h)
 
 
 def energy(net: DhnNetwork, x: np.ndarray) -> float:
@@ -425,16 +434,36 @@ def iterate(step, x: np.ndarray, crit: ConvergenceCriterion, exact: bool = False
     state) ends the run with ``Outcome.of_lag(k)`` and ``cycle_length`` k;
     otherwise it ends BUDGET_EXHAUSTED after ``crit.max_iters`` steps.
     ``iterations`` counts the steps taken.
+
+    The window keeps continuous states with their norms, not normalized copies,
+    and directions 2 ``crit.epsilon`` apart on the first few rows are no match
+    at O(d) cost.  Each decision is the full test's.
     """
 
-    def key(x):
+    def direction(x, norm):  # a zero (or NaN) norm leaves x as its own direction
+        return x / norm if norm > 0 else x
+
+    def key(x):  # a continuous state, its norm and its head's direction
         if exact:
             return x
         norm = np.linalg.norm(x)
-        return x / norm if norm > 0 else x
+        return x, norm, direction(x[:_HEAD], norm)
+
+    # x[:_HEAD] / norm gives the floats of the head of x / norm, so the head's squared
+    # distance sums a subset of the full one's terms: heads 2 epsilon apart are no match.
+    # 2 is far above either sum's relative rounding at any size that fits in memory, and
+    # _HEAD_FLOOR keeps the sums out of the subnormal range, where rounding is absolute.
+    # A NaN head distance takes the full test; an infinite one means an infinite or NaN
+    # full one, no match either; with epsilon 0 nothing matches in either test.
+    cutoff = max(2.0 * crit.epsilon, _HEAD_FLOOR)
 
     def match(state, prev):
-        return np.array_equal(state, prev) if exact else np.linalg.norm(state - prev) < crit.epsilon
+        if exact:
+            return np.array_equal(state, prev)
+        (a, a_norm, a_head), (b, b_norm, b_head) = state, prev
+        if np.linalg.norm(a_head - b_head) >= cutoff:
+            return False
+        return np.linalg.norm(direction(a, a_norm) - direction(b, b_norm)) < crit.epsilon
 
     # only the window holds old states: x is rebound, the lag search is scoped
     history = deque([key(x)], maxlen=crit.window)

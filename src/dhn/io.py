@@ -245,7 +245,7 @@ def result_document(
     """Assemble the result document with a fixed field order."""
     assignment = modularity = d_cut = None
     if clustering is not None:
-        assignment = dict(zip(graph.labels(), (int(a) for a in clustering.assignment)))
+        assignment = dict(zip(graph.labels(), clustering.assignment))
         modularity = modularity_score(graph, clustering)
         d_cut = d_cut_value(graph, clustering)
     # only cleora runs without a report; its iterations are its propagations
@@ -269,9 +269,21 @@ def result_document(
     }
 
 
+# json.dumps indents with its pure-Python encoder; this C encoding of a flat
+# list or object puts each entry on its own line, as indent=2 does one level in
+_encode_flat = json.JSONEncoder(allow_nan=False, separators=(",\n    ", ": ")).encode
+
+
 def write_result(document: dict, path) -> None:
-    """Write the document as strict JSON; NaN or infinite values raise ValueError."""
-    text = json.dumps(document, indent=2, allow_nan=False)
+    """Write json.dumps(document, indent=2) for a document nested one level deep, as
+    result documents are.  It is strict JSON: NaN or infinite values raise ValueError."""
+    fields = []
+    for key, value in document.items():
+        text = _encode_flat(value)
+        if isinstance(value, (dict, list)) and value:
+            text = f"{text[0]}\n    {text[1:-1]}\n  {text[-1]}"
+        fields.append(f"  {_encode_flat(key)}: {text}")
+    text = "{\n" + ",\n".join(fields) + "\n}" if fields else "{}"
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

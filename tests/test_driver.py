@@ -1,7 +1,10 @@
 """The one stopping driver, ``core.iterate``, against the loops it replaced."""
 
+import itertools
+import tracemalloc
 import warnings
 import weakref
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +13,10 @@ from hypothesis import strategies as st
 
 import dhn
 import reference_runs as ref
-from dhn.core import Activation, ConvergenceCriterion, Outcome, _onehot, iterate
+from dhn.core import _HEAD, Activation, ConvergenceCriterion, Outcome, _onehot, iterate
 from dhn.graphs import disjoint_pairs_graph
 from dhn.modularity import _lms_sweeps
+from dhn.stiefel import _frame_network, _initial_frame
 
 from conftest import planted_graph, random_positive_graph, random_symmetric
 
@@ -116,6 +120,89 @@ class TestIterate:
         crit = ConvergenceCriterion(window=2, max_iters=10)
         report = iterate(step, np.zeros(2), crit, exact=True)
         assert report.iterations == 10
+
+    def test_keeps_no_state_beyond_the_window_in_continuous_mode(self):
+        # the window holds the states themselves, with their norms, and no normalized copy
+        outputs = []
+
+        def step(x):
+            assert sum(ref() is not None for ref in outputs) <= 2
+            y = np.array([x[0] + 1.0, x[0] ** 2])  # a new direction at every step
+            outputs.append(weakref.ref(y))
+            return y
+
+        crit = ConvergenceCriterion(window=2, max_iters=10)
+        report = iterate(step, np.zeros(2), crit)
+        assert report.iterations == 10
+
+
+class TestTwoStageRevisitTest:
+    """A continuous revisit test that rejects on the head's distance decides as the full one."""
+
+    @staticmethod
+    def reference(states, crit):
+        # the loop before the head bound: every state normalized, every distance in full
+        seq = itertools.cycle(states)
+        history = deque([ref._direction(next(seq))], maxlen=crit.window)
+        for iteration in range(1, crit.max_iters + 1):
+            x = next(seq)
+            lag = ref.revisit_lag(history, ref._direction(x), crit.epsilon)
+            if lag is not None:
+                return x, iteration, lag
+        return x, crit.max_iters, None
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        shape=st.sampled_from([(3,), (12,), (3, 2), (7, 3), (30, 2)]),
+        ratio=st.sampled_from([0.5, 0.999, 1.0, 1.001, 2.0]),
+        crit=criteria,
+        order=st.lists(st.integers(0, 6), min_size=1, max_size=8),
+        spot=st.integers(0, 2**16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_decisions_match_the_reference(self, shape, ratio, crit, order, spot, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1.0, 1.0, size=shape)
+        flat = np.arange(a.size).reshape(shape)
+        tail = flat[_HEAD:].ravel()
+        j, k = rng.choice(tail if tail.size >= 2 else flat.ravel(), 2, replace=False)
+        # rotating entries j and k keeps the norm, so the directions differ there only,
+        # by about ratio * epsilon
+        norm, rho = np.linalg.norm(a), np.hypot(a.flat[j], a.flat[k])
+        theta = 2.0 * np.arcsin(min(1.0, ratio * crit.epsilon * norm / (2.0 * rho)))
+        b = a.copy()
+        b.flat[j] = np.cos(theta) * a.flat[j] - np.sin(theta) * a.flat[k]
+        b.flat[k] = np.sin(theta) * a.flat[j] + np.cos(theta) * a.flat[k]
+        with_nan, with_inf = a.copy(), b.copy()
+        with_nan.flat[spot % a.size] = np.nan
+        with_inf.flat[(spot // 7) % a.size] = -np.inf
+        pool = [a, b, 3.0 * b, np.zeros(shape), with_nan, with_inf, -a]
+        states = [pool[i] for i in order]
+        seq = itertools.cycle(states)
+        start = next(seq)
+        with np.errstate(all="ignore"):
+            got = iterate(lambda _: next(seq), start, crit)
+            final, iterations, lag = self.reference(states, crit)
+        assert (got.iterations, got.cycle_length) == (iterations, lag)
+        assert got.outcome is (Outcome.BUDGET_EXHAUSTED if lag is None else Outcome.of_lag(lag))
+        assert got.final_state is final
+
+    def test_peak_memory_of_a_frame_run(self):
+        # no normalized copy of a state is made or kept, and W X adds its rank-one term in place
+        g = planted_graph(np.random.default_rng(45), 2000, 10)
+        net, x0 = _frame_network(g, 10), _initial_frame(g.n, 10, 0)
+        crit = ConvergenceCriterion(max_iters=50)
+        dhn.run_parallel(net, x0, crit)  # first-call allocations are not the run's
+        tracemalloc.start()
+        try:
+            report = dhn.run_parallel(net, x0, crit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (report.outcome, report.iterations) == (Outcome.BUDGET_EXHAUSTED, 50)
+        # with numpy 2.4 and SciPy 1.17 the run peaked at 647,548 B, four 2,000 x 10 states;
+        # normalized copies in the window and an n x d sum for W X took it to 962,212 B
+        assert peak <= 662_000
 
 
 class TestMatchesReferenceLoops:

@@ -782,6 +782,39 @@ class TestDispatch:
         assert (tmp_path / "cleora.json.emb").read_bytes() == direct.read_bytes()
 
 
+class TestWriteResult:
+    """write_result indents C-encoded fields by hand; the text is json.dumps(indent=2)'s."""
+
+    @staticmethod
+    def assert_written_as_json_dumps(document, path):
+        write_result(document, path)
+        assert path.read_bytes() == (json.dumps(document, indent=2, allow_nan=False) + "\n").encode()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_documents_of_every_method(self, tmp_path, method):
+        # labels with quotes, a backslash and non-ASCII characters, which JSON escapes
+        labels = tuple(f'nœud "{i}" \\ é' for i in range(34))
+        g = dhn.WeightedGraph(karate_club().weights, node_labels=labels)
+        dim = 2 if method == "newman" else 3
+        config = RunConfig(method=method, dim=dim, seed=5, max_iters=20, output=str(tmp_path / "c"))
+        document = cluster_command(config, g)
+        self.assert_written_as_json_dumps(document, tmp_path / "doc.json")
+        nulls = dict(document, assignment=None, energy_trace=None)
+        self.assert_written_as_json_dumps(nulls, tmp_path / "nulls.json")
+        empty = dict(document, assignment={}, energy_trace=[])
+        self.assert_written_as_json_dumps(empty, tmp_path / "empty.json")
+
+    def test_empty_document(self, tmp_path):
+        self.assert_written_as_json_dumps({}, tmp_path / "empty.json")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_nested_value_is_rejected(self, tmp_path, value):
+        out = tmp_path / "bad.json"
+        with pytest.raises(ValueError):
+            write_result({"method": "plms", "energy_trace": [0.0, value]}, out)
+        assert not out.exists()
+
+
 class TestEvalCommand:
     def test_round_trip_re_scoring(self, tmp_path, karate_file, capsys):
         out = tmp_path / "lms.json"
