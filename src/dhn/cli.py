@@ -115,7 +115,12 @@ def main(argv=None) -> int:
                 raise UsageError(str(exc)) from None
             graph = load_edge_list(config.input, directed_reject=config.directed_reject)
             document = cluster_command(config, graph)
-            write_result(document, config.output)
+            try:
+                write_result(document, config.output)
+            except BaseException:  # a failed run leaves no embedding behind either
+                if document["embedding_path"] is not None:
+                    os.remove(document["embedding_path"])
+                raise
             if document["modularity"] is not None:
                 print(f"modularity {document['modularity']:.6f}  d-cut {document['d_cut']:.6f}")
             print(f"wrote {config.output}")

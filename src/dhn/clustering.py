@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .core import Activation, DhnNetwork, canonical_csr, max_asymmetry
+from .core import Activation, DhnNetwork, _onehot, canonical_csr, max_asymmetry
 
 __all__ = [
     "Clustering",
@@ -132,9 +132,7 @@ class Clustering:
 
 def clustering_to_matrix(c: Clustering) -> np.ndarray:
     """One-hot n x d encoding of a clustering."""
-    x = np.zeros((c.n, c.d))
-    x[np.arange(c.n), np.array(c.assignment, dtype=int)] = 1.0
-    return x
+    return _onehot(np.array(c.assignment, dtype=int), c.d)
 
 
 def validate_clustering_matrix(x: np.ndarray) -> np.ndarray:

@@ -1,9 +1,12 @@
-"""Shared random-instance builders for the test suite."""
+"""Shared random-instance builders and fixtures for the test suite."""
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 import dhn
+from dhn.graphs import karate_club
+from dhn.io import load_edge_list, write_edge_list
 
 
 def random_symmetric(rng, n, scale=1.0, diag="nonneg"):
@@ -35,15 +38,35 @@ def svd_polar(m):
     return u @ vt
 
 
-def random_positive_graph(rng, n, density=0.6):
-    """Random symmetric graph with nonnegative weights, zero diagonal, volume > 0."""
+def random_positive_graph(rng, n, density=0.6, self_loops=False):
+    """Random symmetric graph with nonnegative weights and volume > 0.
+
+    The diagonal is zero unless ``self_loops``: then each node has a loop of
+    integer weight 1..3 with probability 0.4.
+    """
     mask = rng.random((n, n)) < density
     w = rng.uniform(0.2, 2.0, size=(n, n)) * mask
     w = np.triu(w, k=1)
     w = w + w.T
     if w.sum() == 0.0:  # guarantee at least one edge
         w[0, 1] = w[1, 0] = 1.0
+    if self_loops:
+        np.fill_diagonal(w, rng.integers(1, 4, size=n) * (rng.random(n) < 0.4))
     return dhn.WeightedGraph(w)
+
+
+@pytest.fixture(scope="session")
+def karate_with_self_loops(tmp_path_factory):
+    """Karate loaded from its edge list with the i-th line weighing i % 3 + 1, then
+    the lines ``0 0 2`` and ``5 5 3``: integer weights, ties and two self-loops."""
+    path = tmp_path_factory.mktemp("loops") / "loops.edges"
+    write_edge_list(karate_club(), path)
+    edges = [line.split()[:2] for line in path.read_text().splitlines()]
+    lines = [f"{u} {v} {i % 3 + 1}" for i, (u, v) in enumerate(edges, 1)] + ["0 0 2", "5 5 3"]
+    path.write_text("\n".join(lines) + "\n")
+    graph = load_edge_list(path)
+    assert np.count_nonzero(graph.weights.diagonal()) == 2
+    return graph
 
 
 def planted_graph(rng, n, blocks, avg_degree=16, mixing=0.3):

@@ -15,7 +15,7 @@ import dhn
 import reference_runs as ref
 from dhn.core import _HEAD, Activation, ConvergenceCriterion, Outcome, _onehot, iterate
 from dhn.graphs import disjoint_pairs_graph
-from dhn.modularity import _lms_sweeps
+from dhn.modularity import _lms_sweeps, _power_run, modularity_matrix
 from dhn.stiefel import _frame_network, _initial_frame
 
 from conftest import planted_graph, random_positive_graph, random_symmetric
@@ -211,19 +211,22 @@ class TestMatchesReferenceLoops:
         n=st.integers(1, 9),
         d=st.integers(1, 4),
         activation=st.sampled_from(list(Activation)),
-        weights=st.sampled_from(["any", "symmetric", "modularity"]),
+        weights=st.sampled_from(["any", "symmetric", "modularity", "frame"]),
+        self_loops=st.booleans(),
         onehot_start=st.booleans(),
         crit=criteria,
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_run_parallel(self, n, d, activation, weights, onehot_start, crit, seed):
+    def test_run_parallel(self, n, d, activation, weights, self_loops, onehot_start, crit, seed):
         rng = np.random.default_rng(seed)
-        if weights == "modularity":  # a CSR part, a rank-one term and a zeroed diagonal
+        graph_weights = weights in ("modularity", "frame")
+        if graph_weights:  # a CSR part and a rank-one term; lms networks zero the diagonal
             n += 1  # a random_positive_graph needs two nodes
         if activation is Activation.STIEFEL_PROJECTION:
             d = min(d, n)
-        if weights == "modularity":
-            net = dhn.build_lms_network(random_positive_graph(rng, n), d)
+        if graph_weights:
+            build = dhn.build_lms_network if weights == "modularity" else _frame_network
+            net = build(random_positive_graph(rng, n, self_loops=self_loops), d)
             net = replace(net, activation=activation)
         else:
             bias = rng.uniform(-1.0, 1.0, size=(n, d))
@@ -271,38 +274,62 @@ class TestMatchesReferenceLoops:
         crit=criteria,
         seed=st.integers(0, 2**32 - 1),
         start_seed=st.integers(0, 2**32 - 1),
+        modularity=st.booleans(),
     )
-    def test_power_method(self, n, crit, seed, start_seed):
-        m = random_symmetric(np.random.default_rng(seed), n, diag="any")
-        v0 = np.random.default_rng(start_seed).uniform(-1.0, 1.0, size=n)
-        want = ref.power_method(dhn.WeightMatrix(m), v0, crit)
+    def test_power_method(self, n, crit, seed, start_seed, modularity):
+        rng = np.random.default_rng(seed)
+        if modularity:  # newman's operator, on a graph with self-loops
+            m = modularity_matrix(random_positive_graph(rng, n + 1, self_loops=True)).q
+        else:
+            m = dhn.WeightMatrix(random_symmetric(rng, n, diag="any"))
+        states = []  # the reference returns its last vector; the ones it multiplies tell the rest
+
+        class Recorded:
+            def __matmul__(self, v):
+                states.append(v)
+                return m @ v
+
+        v0 = np.random.default_rng(start_seed).uniform(-1.0, 1.0, size=m.n)
+        want = ref.power_method(Recorded(), v0, crit)
         assert same_array(dhn.power_method(m, seed=start_seed, crit=crit), want)
+        lag = ref.revisit_lag(deque(states[-crit.window:]), want, crit.epsilon)
+        report = _power_run(m, start_seed, crit)
+        assert report.iterations == len(states)
+        assert report.outcome is (Outcome.BUDGET_EXHAUSTED if lag is None else Outcome.of_lag(lag))
 
     @settings(max_examples=80, deadline=None)
     @given(
         n=st.integers(2, 30),
         max_iters=st.sampled_from([1, 2, 3, 1000]),
+        self_loops=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_run_lms(self, n, max_iters, seed):
-        g = random_positive_graph(np.random.default_rng(seed), n, density=0.3)
+    def test_run_lms(self, n, max_iters, self_loops, seed):
+        rng = np.random.default_rng(seed)
+        g = random_positive_graph(rng, n, density=0.3, self_loops=self_loops)
         clustering, got = dhn.run_lms(g, crit=ConvergenceCriterion(max_iters=max_iters))
         want = per_sweep(ref.lms_sweeps(g, range(n), n, max_iters, track_energy=True), n)
         assert_same_report(got, want)
         assert clustering.assignment == tuple(want.final_state)
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(2, 30), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-    def test_lms_sweeps_from_any_start(self, n, d, seed):
+    @given(
+        n=st.integers(2, 30),
+        d=st.integers(1, 6),
+        self_loops=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lms_sweeps_from_any_start(self, n, d, self_loops, seed):
         rng = np.random.default_rng(seed)
-        g = random_positive_graph(rng, n, density=0.3)
+        g = random_positive_graph(rng, n, density=0.3, self_loops=self_loops)
         labels = rng.integers(0, d, size=n)
         for sweeps in (1, 1000):
             want = ref.lms_sweeps(g, labels, d, sweeps, track_energy=True)
             assert_same_report(_lms_sweeps(g, labels, d, sweeps), per_sweep(want, n))
 
-    def test_run_plms_at_scale(self):
-        # the reference keeps every one-hot state and adds an explicit zeros bias
+    def test_run_plms_at_scale(self, karate_with_self_loops):
+        # the reference keeps every one-hot state and adds an explicit zeros bias; on the
+        # weighted karate with self-loops it also builds Q's zero diagonal by two subtractions
         g = planted_graph(np.random.default_rng(3), 2400, 12)
         d, crit = 16, ConvergenceCriterion(max_iters=12)
         net = replace(dhn.build_lms_network(g, d), bias=np.zeros((g.n, d)))
@@ -313,6 +340,19 @@ class TestMatchesReferenceLoops:
         assert got.iterations > 1
         if want.cycle_length != 2:
             assert clustering.assignment == tuple(np.argmax(want.final_state, axis=1))
+
+        g, d = karate_with_self_loops, 4
+        net = dhn.DhnNetwork(ref.zero_diagonal(modularity_matrix(g).q), np.zeros((g.n, d)))
+        x0 = _onehot(np.random.default_rng(5).integers(0, d, size=g.n), d)
+        clustering, got = dhn.run_plms(g, d, seed=5)
+        want = ref.run_parallel(net, x0)
+        assert_same_report(got, want)
+        best = dhn.Clustering(np.argmax(want.final_state, axis=1), d)
+        if want.cycle_length == 2:  # the better of the cycle's two states
+            other = dhn.Clustering(np.argmax(dhn.parallel_step(net, want.final_state), axis=1), d)
+            if dhn.modularity_score(g, other) > dhn.modularity_score(g, best):
+                best = other
+        assert clustering == best
 
 
 class TestLabelHistory:

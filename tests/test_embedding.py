@@ -200,6 +200,8 @@ class TestEmbeddingExport:
     def test_bytes_equal_on_cleora_output_and_empty_rows(self, tmp_path):
         g = ring_graph(9)
         assert_same_bytes(tmp_path, run_cleora(g, 6, iters=3, seed=3), g.labels())
+        g = planted_graph(np.random.default_rng(3), 2400, 12)
+        assert_same_bytes(tmp_path, run_cleora(g, 64, seed=7), g.labels())
         assert_same_bytes(tmp_path, np.zeros((3, 0)))
 
     @settings(max_examples=60, deadline=None)

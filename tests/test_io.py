@@ -390,6 +390,7 @@ class TestExitCodeContract:
     @settings(max_examples=50, deadline=None)
     @given(usage_errors())
     @example(("plms", ["--seed=-1"], "0"))
+    @example(("plms", ["--seed", "-1"], "0"))
     @example(("lms", [], "-3"))
     def test_bad_flag_or_env_seed_exits_2_before_reading_input(self, tmp_path_factory, case):
         method, flags, env_seed = case
@@ -537,6 +538,9 @@ class TestClusterCommand:
         doc = load_result(out)
         assert doc["format_version"] == 2
         assert doc["modularity"] >= 0.38
+        trace = doc["energy_trace"]  # the start, then one energy per sweep, never rising
+        assert len(trace) == doc["iterations"] + 1
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
         # independent re-scoring of the emitted assignment
         rescored = score_assignment(karate_club(), doc["assignment"])
         assert rescored["modularity"] == pytest.approx(doc["modularity"], abs=1e-9)
@@ -647,6 +651,8 @@ class TestClusterCommand:
                  "--input", karate_file, "--output", out]
             ) == 0
             doc = load_result(out)
+            assert doc["format_version"] == 2
+            assert len(doc["energy_trace"]) == doc["iterations"] + 1
             doc["wall_time_s"] = None
             outs.append(json.dumps(doc, sort_keys=False))
         assert outs[0] == outs[1]
@@ -688,6 +694,18 @@ class TestClusterCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_cleora_whose_result_cannot_be_written_leaves_no_embedding(
+        self, tmp_path, karate_file, capsys
+    ):
+        out = tmp_path / "taken"
+        out.mkdir()  # a directory: the result write fails after the embedding is written
+        code = run_cli(
+            ["cluster", "--method", "cleora", "--dim", 4, "--input", karate_file, "--output", out]
+        )
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["karate.edges", "taken"]
+
     def test_cleora_writes_embedding(self, tmp_path, karate_file):
         out = tmp_path / "cleora.json"
         assert run_cli(
@@ -713,9 +731,15 @@ DIRECT_RUNS = {
 
 
 class TestDispatch:
-    @pytest.mark.parametrize("method", sorted(DIRECT_RUNS))
-    def test_document_equals_the_direct_library_call(self, method):
-        g = karate_club()
+    @pytest.mark.parametrize(
+        "method, self_loops",
+        [pytest.param(m, False, id=m) for m in sorted(DIRECT_RUNS)]
+        + [pytest.param(m, True, id=f"loops-{m}") for m in sorted(DIRECT_RUNS)],
+    )
+    def test_document_equals_the_direct_library_call(
+        self, method, self_loops, karate_with_self_loops
+    ):
+        g = karate_with_self_loops if self_loops else karate_club()
         dim = 2 if method == "newman" else 3
         config = RunConfig(method=method, dim=dim, seed=5, epsilon=1e-6, window=3, max_iters=40)
         document = cluster_command(config, g)
@@ -753,19 +777,20 @@ class TestDispatch:
 
     def test_omitted_flags_record_the_defaults(self, tmp_path, karate_file, monkeypatch):
         monkeypatch.delenv("DHN_SEED", raising=False)
-        out = tmp_path / "defaults.json"
-        code = run_cli(["cluster", "--method", "plms", "--input", karate_file, "--output", out])
-        assert code == 0
-        config = load_result(out)["config"]
-        assert config == {
-            "dim": 2,
-            "seed": 0,
-            "epsilon": 1e-8,
-            "window": 2,
-            "max_iters": 1000,
-            "input": str(karate_file),
-            "directed_reject": False,
-        }
+        for method in ("plms", "lms"):
+            out = tmp_path / f"{method}.json"
+            argv = ["cluster", "--method", method, "--input", karate_file, "--output", out]
+            assert run_cli(argv) == 0
+            config = load_result(out)["config"]
+            assert config == {
+                "dim": 2,
+                "seed": 0,
+                "epsilon": 1e-8,
+                "window": 2,
+                "max_iters": 1000,
+                "input": str(karate_file),
+                "directed_reject": False,
+            }, method
 
     def test_cleora_with_max_iters_omitted_runs_the_library_default(
         self, tmp_path, karate_file, monkeypatch
@@ -885,15 +910,21 @@ class TestEvalCommand:
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path, karate_file):
-        out = tmp_path / "cli.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "dhn.cli", "cluster", "--method", "newman",
-             "--seed", "1", "--input", str(karate_file), "--output", str(out)],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert load_result(out)["method"] == "newman"
+        # a frame method's projection raises no rank-deficiency warning on karate
+        env = {k: v for k, v in os.environ.items() if k != "DHN_SEED"}
+        for method, flags in (("newman", ["--seed", "1"]), ("gnm-lms", ["--dim", "4"])):
+            out = tmp_path / f"{method}.json"
+            proc = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", "dhn.cli", "cluster",
+                 "--method", method, *flags, "--input", str(karate_file), "--output", str(out)],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            doc = load_result(out)
+            assert doc["method"] == method
+            assert doc["iterations"] is not None and doc["outcome"] is not None
 
 
 class TestRunConfig:

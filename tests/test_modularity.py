@@ -240,8 +240,11 @@ class TestLmsExactOracle:
             d = int(rng.integers(2, 7))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)  # rank-deficient frames
-                gnm_c, _ = dhn.run_gnm(g, d, seed=seed, crit=crit)
+                gnm_c, gnm_report = dhn.run_gnm(g, d, seed=seed, crit=crit)
                 c, report = dhn.run_gnm_plus_lms(g, d, seed=seed, crit=crit)
+            # the GNM steps and then one sweep; the outcome is the GNM run's
+            assert report.iterations == gnm_report.iterations + 1
+            assert report.outcome is gnm_report.outcome
             oracle = dhn.run_serial(
                 exact_lms_network(g, d),
                 dhn.clustering_to_matrix(gnm_c),
