@@ -90,7 +90,7 @@ def _onehot(labels: np.ndarray, d: int) -> np.ndarray:
 
 
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Scale every nonzero row to unit l2 norm; (near-)zero rows stay zero."""
+    """Scale every nonzero row to unit l2 norm; (near-)zero rows and rows with nan or inf are 0."""
     m = np.array(m, dtype=float)
     if m.ndim != 2:
         raise ValueError("l2_normalize_rows expects a 2-d matrix")
@@ -101,8 +101,15 @@ def _normalize_rows_inplace(m: np.ndarray) -> np.ndarray:
     """l2_normalize_rows written over a float matrix; norms a block of rows at a time."""
     norms = np.empty(m.shape[0])
     step = max(1, _NORM_BLOCK_VALUES // max(m.shape[1], 1))
-    for start in range(0, m.shape[0], step):
-        norms[start : start + step] = np.linalg.norm(m[start : start + step], axis=1)
+    # norms whose squares overflow, or underflow (norms below 1e-150), come from the scaled row
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 / 0 and inf / inf: rows set to 0
+        for start in range(0, m.shape[0], step):
+            norms[start : start + step] = np.linalg.norm(m[start : start + step], axis=1)
+        redo = np.flatnonzero((norms < 1e-150) | (norms == np.inf))
+        scale = np.max(np.abs(m[redo]), axis=1, initial=0.0)
+        m[redo] /= scale[:, None]  # then divided by the scaled norm
+        scaled = np.linalg.norm(m[redo], axis=1)
+        norms[redo] = np.where(scale * scaled >= _ZERO_ROW_NORM, scaled, 0.0)
     keep = norms >= _ZERO_ROW_NORM
     np.divide(m, norms[:, None], out=m, where=keep[:, None])
     m[~keep] = 0.0
@@ -335,9 +342,9 @@ class RunReport:
     detected cycle, None when the budget ran out.  ``energy_trace`` is recorded
     for classification runs only: the initial state's energy, then the energy
     after each sweep or step, so 1 + iterations entries, as a result document
-    stores them.  ``final_state`` is the n x d state matrix, except for
-    ``run_lms``, whose search runs on labels: there it is the length-n label
-    vector, and its scores are the vol^2-scaled ΔQ, exact on integer weights.
+    stores them.  ``final_state`` is the label vector of label runs (``run_lms``,
+    ``run_gnm_plus_lms``; scores are vol^2-scaled ΔQ, exact on integer weights),
+    the n x d state of network runs and the frame of frame runs (``run_gnm``, ``run_sgnm``).
     """
 
     final_state: np.ndarray

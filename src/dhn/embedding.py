@@ -36,7 +36,7 @@ def run_cleora(
     The n x d start matrix has i.i.d. uniform(-1, 1) entries drawn from
     ``seed``; each of the ``iters`` steps computes l2_normalize_rows(W X).
     With iters = 0 the start matrix is returned unchanged.  Rows that become
-    exactly zero stay zero, but a graph with no nonzero weight raises ValueError.
+    exactly zero stay zero; a graph with no nonzero weight or a non-finite W X raises ValueError.
     """
     if d < 1:
         raise ValueError("embedding dimension d must be positive")
@@ -50,6 +50,8 @@ def run_cleora(
         # W X acts column by column, so each block of columns is replaced in place
         for c in range(0, d, _PRODUCT_COLUMNS):
             x[:, c : c + _PRODUCT_COLUMNS] = graph.weights @ x[:, c : c + _PRODUCT_COLUMNS]
+        if not (np.isfinite(x.min()) and np.isfinite(x.max())):  # the normalizer would zero it
+            raise ValueError("a propagation step overflowed float64: rescale the weights")
         _normalize_rows_inplace(x)
     return x
 

@@ -9,6 +9,7 @@ runs in disguise.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 from dataclasses import dataclass
 from typing import Optional
@@ -43,7 +44,7 @@ __all__ = [
 
 
 class DegenerateGraphError(ValueError):
-    """The graph volume is zero or negative, so modularity is undefined."""
+    """The graph volume is <= 0 (modularity is undefined) or its square is no normal float."""
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -60,15 +61,18 @@ class ModularityMatrix:
     q: WeightMatrix
 
 
-def _positive_volume(graph: WeightedGraph) -> float:
+def _positive_volume(graph: WeightedGraph, square: bool = True) -> float:
     vol = graph.volume
     if vol <= 0:
         raise DegenerateGraphError(f"graph volume is {vol:g}; modularity needs positive volume")
-    return vol
+    with contextlib.suppress(OverflowError):  # Q and the LMS scores scale by Vol^2: check it
+        if not square or vol**2 >= np.finfo(float).tiny:
+            return vol
+    raise DegenerateGraphError(f"graph volume is {vol:g}; its square is no finite normal float")
 
 
 def modularity_matrix(graph: WeightedGraph) -> ModularityMatrix:
-    """Build the modularity operator; rejects graphs with volume <= 0."""
+    """Build the modularity operator; rejects volumes <= 0 or whose square is out of range."""
     vol = _positive_volume(graph)
     return ModularityMatrix(WeightMatrix(graph.weights / vol, graph.degrees, -1.0 / vol**2))
 
@@ -82,7 +86,7 @@ def modularity_score(graph: WeightedGraph, c: Clustering) -> float:
     """
     if c.n != graph.n:
         raise ValueError(f"clustering covers {c.n} nodes but the graph has {graph.n}")
-    vol = _positive_volume(graph)
+    vol = _positive_volume(graph, square=False)  # scores need no Vol^2, so any scale is scored
     w = graph.weights
     a = np.array(c.assignment, dtype=int)
     row_labels = np.repeat(a, np.diff(w.indptr))

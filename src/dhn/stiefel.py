@@ -4,7 +4,7 @@ Replacing the sign vector of two-way spectral bisection with an n x d
 orthonormal frame lets power iteration produce d coupled directions at once:
 iterate X <- P(Q X) where P projects onto the orthonormal d-frames, then read a
 clustering off the rows.  For d = 1 this is exactly the normalized power
-method.
+method.  A step is the parallel step of the network (Q, 0, STIEFEL_PROJECTION).
 """
 
 from __future__ import annotations
@@ -14,23 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from .clustering import Clustering, WeightedGraph, clustering_to_matrix
-from .core import (
-    Activation,
-    ConvergenceCriterion,
-    DhnNetwork,
-    iterate,
-    run_parallel,
-    stiefel_project,
-)
+from .clustering import Clustering, WeightedGraph
+from .core import ConvergenceCriterion, iterate, stiefel_project
 from .modularity import _lms_sweeps, modularity_matrix
 
 __all__ = ["run_gnm", "run_gnm_plus_lms", "run_sgnm"]
-
-
-def _frame_network(graph: WeightedGraph, d: int) -> DhnNetwork:
-    q = modularity_matrix(graph).q
-    return DhnNetwork(q, np.broadcast_to(0.0, (graph.n, d)), Activation.STIEFEL_PROJECTION)
 
 
 def _initial_frame(n: int, d: int, seed: Optional[int]) -> np.ndarray:
@@ -51,9 +39,9 @@ def run_gnm(
     the argmax of its row of the final frame (ties to the lowest index).
     Returns (Clustering, RunReport); the report's final state is the frame.
     """
-    net = _frame_network(graph, d)
-    x0 = _initial_frame(graph.n, d, seed)
-    report = run_parallel(net, x0, crit=crit)
+    q = modularity_matrix(graph).q  # before the start frame: the volume check comes first
+    crit = crit if crit is not None else ConvergenceCriterion()
+    report = iterate(lambda x: stiefel_project(q @ x), _initial_frame(graph.n, d, seed), crit)
     return Clustering(np.argmax(report.final_state, axis=1), d), report
 
 
@@ -71,14 +59,13 @@ def run_sgnm(
     valid frame enters the next sweep, and the directional stopping criterion
     is checked on sweep boundaries.
     """
-    net = _frame_network(graph, d)
+    q = modularity_matrix(graph).q
     crit = crit if crit is not None else ConvergenceCriterion()
 
     def sweep(x):
         x = x.copy()
         for i in range(graph.n):
-            h = net.weights @ x  # zero bias
-            x[i] = stiefel_project(h)[i]
+            x[i] = stiefel_project(q @ x)[i]
         return stiefel_project(x)
 
     report = iterate(sweep, _initial_frame(graph.n, d, seed), crit)
@@ -93,13 +80,12 @@ def run_gnm_plus_lms(
 ) -> tuple:
     """Generalized Newman method followed by one greedy modularity sweep.
 
-    The GNM clustering matrix seeds a single cyclic serial sweep of the
-    zero-diagonal modularity network, which can only keep or raise modularity.
-    The returned report carries the post-sweep clustering matrix as its final
-    state; iterations count the GNM parallel steps plus the one sweep.
+    The GNM clustering seeds a single cyclic serial sweep of the zero-diagonal
+    modularity network, which can only keep or raise modularity.  The
+    returned report carries the sweep's label vector as its final state;
+    iterations count the GNM parallel steps plus the one sweep.
     """
     gnm_clustering, gnm_report = run_gnm(graph, d, seed=seed, crit=crit)
-    sweep = _lms_sweeps(graph, gnm_clustering.assignment, d, 1)
-    clustering = Clustering(sweep.final_state, d)
-    final = clustering_to_matrix(clustering)
-    return clustering, replace(gnm_report, final_state=final, iterations=gnm_report.iterations + 1)
+    labels = _lms_sweeps(graph, gnm_clustering.assignment, d, 1).final_state
+    report = replace(gnm_report, final_state=labels, iterations=gnm_report.iterations + 1)
+    return Clustering(labels, d), report

@@ -4,7 +4,8 @@ Each keeps its own revisit history and builds its own outcome.  They are the
 reference that the driver-based runs must reproduce bit for bit: final state,
 iteration count, outcome, cycle length and energy trace.  ``zero_diagonal`` is
 the two-subtraction build that ``WeightMatrix.zero_diagonal`` must reproduce
-array for array.
+array for array.  ``frame_network`` is the explicit network whose parallel run
+the frame methods must reproduce.
 """
 
 from collections import deque
@@ -15,6 +16,7 @@ import scipy.sparse as sp
 from dhn.core import (
     Activation,
     ConvergenceCriterion,
+    DhnNetwork,
     Outcome,
     RunReport,
     WeightMatrix,
@@ -31,8 +33,15 @@ from dhn.modularity import (
     _ClusterDegrees,
     _csr_views,
     _positive_volume,
+    modularity_matrix,
 )
-from dhn.stiefel import _frame_network, _initial_frame
+from dhn.stiefel import _initial_frame
+
+
+def frame_network(graph, d):
+    """The network (Q, 0, STIEFEL_PROJECTION), with an explicit n x d zero bias."""
+    q = modularity_matrix(graph).q
+    return DhnNetwork(q, np.zeros((graph.n, d)), Activation.STIEFEL_PROJECTION)
 
 
 def revisit_lag(history, state, epsilon, exact=False):
@@ -148,7 +157,7 @@ def power_method(m, v0, crit=None):
 
 
 def run_sgnm(graph, d, seed=None, crit=None):
-    net = _frame_network(graph, d)
+    net = frame_network(graph, d)
     crit = crit if crit is not None else ConvergenceCriterion()
     x = _initial_frame(graph.n, d, seed)
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -113,15 +114,32 @@ class TestRunCleora:
         st.integers(1, 20),
     )
     def test_in_place_normalizer_is_bitwise_the_whole_matrix_one(self, m, block_values):
-        # the formula l2_normalize_rows used before its norms were taken a block at a time
+        # the whole-matrix rule: norms from squared entries, and where those underflow
+        # (below 1e-150) or overflow, from the row scaled by its largest |entry|
         with np.errstate(all="ignore"):
             norms = np.linalg.norm(m, axis=1)
-            keep = norms >= 1e-300
-            want = np.divide(m, norms[:, None], out=np.zeros(m.shape), where=keep[:, None])
+            scale = np.max(np.abs(m), axis=1, initial=0.0)
+            scaled = m / scale[:, None]
+            scaled_norms = np.linalg.norm(scaled, axis=1)
+            redo = (norms < 1e-150) | (norms == np.inf)
+            keep = np.where(redo, scale * scaled_norms, norms) >= 1e-300
+            norms = np.where(redo, scaled_norms, norms)
+            rows = np.where(redo[:, None], scaled, m)
+            want = np.divide(rows, norms[:, None], out=np.zeros(m.shape), where=keep[:, None])
             with mock.patch.object(dhn.core, "_NORM_BLOCK_VALUES", block_values):
                 got = dhn.core._normalize_rows_inplace(m.copy())
                 public = dhn.l2_normalize_rows(m)
         assert got.tobytes() == want.tobytes() == public.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-1074, 1023), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_rows_at_any_scale_come_out_unit(self, k, d, seed):
+        # squared entries under- or overflow far inside the float range; the norm must not
+        u = dhn.l2_normalize_rows(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(1, d)))
+        row = u * 2.0**k
+        norm = math.hypot(*row[0])
+        want = row / norm if norm >= 1e-300 else np.zeros_like(row)
+        assert np.allclose(dhn.l2_normalize_rows(row), want, rtol=0.0, atol=1e-15)
 
     def test_column_blocks_give_the_whole_product(self):
         g = planted_graph(np.random.default_rng(2), 300, 3)

@@ -459,6 +459,31 @@ class TestNumericExitContract:
         assert not out.exists()
         assert not out.with_name(out.name + ".emb").exists()
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(METHODS), st.integers(-600, 600))
+    @example("lms", 532)  # Vol^2 overflows
+    @example("gnm-lms", -532)  # Vol^2 underflows
+    @example("cleora", 532)  # squared embedding entries overflow
+    @example("cleora", -600)  # and underflow
+    def test_any_weight_scale_exits_0_or_4(self, tmp_path_factory, method, k):
+        # two triangles, a self-loop and an isolated pair, every weight scaled by 2^k
+        edges = [("a", "b", 1), ("b", "c", 2), ("c", "a", 1), ("c", "d", 3), ("d", "e", 1),
+                 ("e", "f", 2), ("f", "d", 1), ("f", "f", 2), ("x", "y", 0)]
+        text = "".join(f"{u} {v} {w * 2.0**k!r}\n" for u, v, w in edges)
+        folder = tmp_path_factory.mktemp("scale")
+        code, out = run_cli_quietly(method, text, folder)
+        assert code in (0, 4)
+        if code == 4:
+            assert list(folder.iterdir()) == [folder / "g.edges"]
+            return
+        doc = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in {out}"))
+        assert all(np.isfinite(doc[f]) for f in ("modularity", "d_cut") if doc[f] is not None)
+        if method == "cleora":
+            rows = np.loadtxt(doc["embedding_path"], usecols=(1, 2))
+            norms = np.linalg.norm(rows, axis=1)
+            isolated = load_edge_list(folder / "g.edges").degrees == 0
+            assert np.all(np.where(isolated, norms == 0.0, np.abs(norms - 1.0) < 1e-12))
+
 
 class TestLabelRenaming:
     def test_renamed_labels_same_partition_and_scores(self, tmp_path):
