@@ -10,6 +10,7 @@ graphs), which covers graphs and their modularity matrices in O(nnz + n) memory.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from collections import deque
 from dataclasses import dataclass, replace
@@ -327,8 +328,8 @@ class ConvergenceCriterion:
     def __post_init__(self):
         if not 0 <= self.epsilon < np.inf:  # nan or inf would decide every comparison alike
             raise ValueError("epsilon must be finite and nonnegative")
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
+        if not 1 <= self.window <= sys.maxsize:  # the window is a deque's maxlen
+            raise ValueError(f"window must be between 1 and {sys.maxsize}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -344,7 +345,8 @@ class RunReport:
     after each sweep or step, so 1 + iterations entries, as a result document
     stores them.  ``final_state`` is the label vector of label runs (``run_lms``,
     ``run_gnm_plus_lms``; scores are vol^2-scaled ΔQ, exact on integer weights),
-    the n x d state of network runs and the frame of frame runs (``run_gnm``, ``run_sgnm``).
+    the n x d state of network runs and ``run_plms`` and the frame of frame runs
+    (``run_gnm``, ``run_sgnm``).
     """
 
     final_state: np.ndarray
@@ -405,11 +407,7 @@ def energy(net: DhnNetwork, x: np.ndarray) -> float:
     nonnegative diagonal.
     """
     x = np.asarray(x, dtype=float)
-    return _energy(net, x, net.weights @ x)
-
-
-def _energy(net: DhnNetwork, x: np.ndarray, wx: np.ndarray) -> float:
-    return float(-np.sum(x * wx) - 2.0 * np.sum(x * net.bias))
+    return float(-np.sum(x * (net.weights @ x)) - 2.0 * np.sum(x * net.bias))
 
 
 def energy_delta(net: DhnNetwork, x: np.ndarray, delta: np.ndarray) -> float:
@@ -537,13 +535,8 @@ def run_parallel(
     directional criterion ||X^(t) - X^(t-k)||_F < epsilon over k = 1..window,
     where X^ is X normalized to unit Frobenius norm (see ``iterate``).  A
     revisit at lag 1 is a stable state, lag 2 a two-cycle; with symmetric
-    weights classification runs never need more.
-
-    A classification step forms one W X, from the new state's labels
-    (``WeightMatrix.onehot_product``); its energy and the next step read it.
-    Revisits are found on the label vectors, and a start that is not one-hot
-    can match no later state.  States, energies and ties are bit for bit those
-    of ``parallel_step`` and ``energy``.
+    weights classification runs never need more.  A classification step is
+    ``parallel_step`` and then ``energy`` of the new state.
     """
     crit = crit if crit is not None else ConvergenceCriterion()
     x = np.asarray(x0, dtype=float)  # steps leave it unmodified, so no copy
@@ -552,22 +545,13 @@ def run_parallel(
     if net.activation is not Activation.CLASSIFICATION:
         return iterate(lambda x: parallel_step(net, x), x, crit)
 
-    labels = np.argmax(x, axis=1)
-    onehot = np.array_equal(x, _onehot(labels, net.d))
-    wx = net.weights.onehot_product(labels, x) if onehot else net.weights @ x
-    trace = [_energy(net, x, wx)]
-    del x0, x  # the labels and wx stand for the start from here on
+    trace = [energy(net, x)]
 
-    def step(_):  # iterate passes the labels of the state whose W X is wx
-        nonlocal wx
-        h = np.add(wx, net.bias, out=wx)  # W X of the old state is spent once h is formed
-        labels = np.argmax(h, axis=1)
-        x = _onehot(labels, net.d)
-        wx = net.weights.onehot_product(labels, x, out=h)
-        trace.append(_energy(net, x, wx))
-        return labels
+    def step(x):
+        x = parallel_step(net, x)
+        trace.append(energy(net, x))
+        return x
 
-    report = iterate(step, labels if onehot else np.full(net.n, -1), crit, exact=True)
-    report.final_state = _onehot(report.final_state, net.d)
+    report = iterate(step, x, crit, exact=True)
     report.energy_trace = trace
     return report

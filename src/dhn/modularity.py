@@ -25,7 +25,6 @@ from .core import (
     WeightMatrix,
     _onehot,
     iterate,
-    run_parallel,
 )
 
 __all__ = [
@@ -283,18 +282,34 @@ def run_plms(
 ) -> tuple:
     """Parallel Louvain-method search from a seeded random d-cluster state.
 
-    Parallel classification runs on symmetric weights end in a stable state or
-    a two-cycle; on a two-cycle the higher-modularity cycle state is returned.
+    ``run_parallel`` of ``build_lms_network(graph, d)`` from that state, bit for
+    bit, with one Qz X per step formed from the labels (``onehot_product``) that
+    the state's energy and the next argmax both read; revisits are found on the
+    labels.  Parallel classification runs on symmetric weights end in a stable
+    state or a two-cycle; on a two-cycle the higher-modularity cycle state is
+    returned, the other one being the argmax of the last Qz X.
     """
-    net = build_lms_network(graph, d)
-    rng = np.random.default_rng(seed)
-    # the start is not named here, so run_parallel frees it early (CPython >= 3.11)
-    report = run_parallel(net, _onehot(rng.integers(0, d, size=graph.n), d), crit=crit)
-    labels = np.argmax(report.final_state, axis=1)
+    qz = build_lms_network(graph, d).weights  # the network rejects d < 1
+    crit = crit if crit is not None else ConvergenceCriterion()
+    labels = np.random.default_rng(seed).integers(0, d, size=graph.n)
+    x = _onehot(labels, d)
+    wx = qz.onehot_product(labels, x)
+    trace = [-float(np.sum(x * wx))]  # -Tr(Xt Qz X)
+    del x  # the labels and wx stand for the start from here on
+
+    def step(_):  # iterate passes the labels of the state whose Qz X is wx
+        labels = np.argmax(wx, axis=1)
+        x = _onehot(labels, d)
+        qz.onehot_product(labels, x, out=wx)
+        trace.append(-float(np.sum(x * wx)))
+        return labels
+
+    report = iterate(step, labels, crit, exact=True)
+    labels, report.final_state = report.final_state, _onehot(report.final_state, d)
+    report.energy_trace = trace
     best = Clustering(labels, d)
-    if report.cycle_length == 2:  # the other cycle state is one step on: O(nnz + n d)
-        h = net.weights.onehot_product(labels, report.final_state) + net.bias
-        other = Clustering(np.argmax(h, axis=1), d)
+    if report.cycle_length == 2:
+        other = Clustering(np.argmax(wx, axis=1), d)
         if modularity_score(graph, other) > modularity_score(graph, best):
             best = other
     return best, report

@@ -268,6 +268,8 @@ class TestNetworkValidation:
         with pytest.raises(ValueError):
             dhn.ConvergenceCriterion(window=0)
         with pytest.raises(ValueError):
+            dhn.ConvergenceCriterion(window=2**63)  # no deque holds a longer window
+        with pytest.raises(ValueError):
             dhn.ConvergenceCriterion(max_iters=0)
 
 

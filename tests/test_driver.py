@@ -353,6 +353,33 @@ class TestMatchesReferenceLoops:
             want = ref.lms_sweeps(g, labels, d, sweeps, track_energy=True)
             assert_same_report(_lms_sweeps(g, labels, d, sweeps), per_sweep(want, n))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        d=st.integers(1, 4),
+        integer_weights=st.booleans(),
+        self_loops=st.booleans(),
+        crit=criteria,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_run_plms(self, n, d, integer_weights, self_loops, crit, seed):
+        # plms is the parallel run of the LMS network, here with an explicit zeros bias, from
+        # the seeded one-hot start; integer weights make ties in Qz X and more two-cycles
+        g = random_positive_graph(np.random.default_rng(seed), n, self_loops=self_loops)
+        if integer_weights:
+            g = dhn.WeightedGraph(np.ceil(g.weights.toarray()))
+        net = replace(dhn.build_lms_network(g, d), bias=np.zeros((n, d)))
+        x0 = _onehot(np.random.default_rng(seed).integers(0, d, size=n), d)
+        clustering, got = dhn.run_plms(g, d, seed=seed, crit=crit)
+        want = ref.run_parallel(net, x0, crit)
+        assert_same_report(got, want)
+        best = dhn.Clustering(np.argmax(want.final_state, axis=1), d)
+        if want.cycle_length == 2:  # the better of the cycle's two states
+            other = dhn.Clustering(np.argmax(dhn.parallel_step(net, want.final_state), axis=1), d)
+            if dhn.modularity_score(g, other) > dhn.modularity_score(g, best):
+                best = other
+        assert clustering == best
+
     def test_run_plms_at_scale(self, karate_with_self_loops):
         # the reference keeps every one-hot state and adds an explicit zeros bias; on the
         # weighted karate with self-loops it also builds Q's zero diagonal by two subtractions
@@ -382,7 +409,7 @@ class TestMatchesReferenceLoops:
 
 
 class TestLabelHistory:
-    """Classification runs find revisits on label vectors; the reference compares one-hot states."""
+    """Classification runs compare states exactly, so a start that is not one-hot is no revisit."""
 
     # on two disjoint unit edges, the two components are a parallel fixed point and
     # splitting both edges alike flips every node each step

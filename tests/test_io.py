@@ -651,7 +651,7 @@ class TestClusterCommand:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--dim", 0), ("--max-iters", 0), ("--window", 0)]
+        [("--dim", 0), ("--max-iters", 0), ("--window", 0), ("--window", 2**63)]
         + [("--epsilon", e) for e in (-1, "nan", "inf")],
     )
     def test_out_of_range_flag_is_usage_error_before_reading_input(

@@ -338,8 +338,8 @@ class TestLmsExactOracle:
 
 class TestRunPlms:
     def test_peak_memory_of_a_budgeted_run(self):
-        # the run's history holds label vectors, not n x d one-hot states, the zero bias is a
-        # zero-stride view, and the one-hot start is freed once the run holds its labels
+        # the run's history holds label vectors, not n x d one-hot states, no step adds a bias,
+        # and the one-hot start is freed once the run holds its labels and first Qz X
         g = planted_graph(np.random.default_rng(45), 4500, 16)
         crit = ConvergenceCriterion(max_iters=12)
         dhn.run_plms(g, 16, seed=0, crit=crit)  # first-call allocations are not the run's
@@ -349,9 +349,10 @@ class TestRunPlms:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # with numpy 2.4 and SciPy 1.17 on CPython 3.11 the run peaked at 3,119,963 B. CPython
-        # 3.10 keeps call arguments on the caller's stack until the call returns, so there the
-        # 576,000 B start lives through the run, which then peaked at 3,762,728 B
+        # with numpy 2.4 and SciPy 1.17 on CPython 3.11 the run peaked at 3,120,339 B. The 3.10
+        # figure, 3,762,728 B, dates from when run_plms passed its start to run_parallel, and
+        # CPython 3.10 kept that argument alive through the run; run_plms now frees the
+        # 576,000 B start itself, and the bound keeps that figure until 3.10 is measured again
         assert peak <= (3_180_000 if sys.version_info >= (3, 11) else 3_840_000)
 
     def test_peak_memory_of_the_network_build(self):
@@ -382,7 +383,8 @@ class TestRunPlms:
         assert c1 == c2
 
     def test_two_cycle_resolution_takes_better_state(self):
-        # the other cycle state comes from onehot_product, bit for bit the parallel_step route
+        # the other cycle state is the argmax of the run's last Qz X, bit for bit one
+        # parallel_step on from the final state
         cycles = 0
         for g, d in ((karate_club(), 4), (disjoint_pairs_graph(2), 2)):
             net = dhn.build_lms_network(g, d)
