@@ -15,6 +15,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -220,22 +221,31 @@ class WeightMatrix:
         wx += u[:, None] @ t[None, :] if x.ndim == 2 else u * t
         return wx
 
-    def onehot_product(self, labels: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
-        """W X for the one-hot X = onehot(labels), bit for bit equal to ``self @ x``.
+    def onehot_product(self, labels: np.ndarray, d: int, out=None) -> np.ndarray:
+        """W X for the n x d one-hot X of ``labels``, without forming X.
 
         The CSR product sums row i into column c in stored order, adding exact
         zeros for entries labelled otherwise, so summing just the entries
         labelled c in that order gives the same floats in O(nnz + n d).  The
-        rank-one term keeps the BLAS ``u @ x``.  ``out`` (C-ordered) is reused.
+        rank-one term's column totals are ``bincount(labels, weights=u)``, in
+        label order, not the BLAS order of ``u @ X``: the same floats when u
+        holds integers, within rounding otherwise.  ``out`` (C-ordered) is reused.
         """
-        s, u = self.sparse, self.vector
-        index = np.int32 if s.nnz <= np.iinfo(np.int32).max else np.int64  # a 4-byte label per entry
-        binned = (s.data, labels.astype(index)[s.indices], s.indptr.astype(index))
+        s, u, indptr = self.sparse, self.vector, self._binning_indptr
+        binned = (s.data, labels.astype(indptr.dtype)[s.indices], indptr)
         # toarray sums duplicate entries, so each (row, label) bin, in stored order
-        wx = sp.csr_array(binned, x.shape).toarray(out=out)
-        for c, t in enumerate(self.coef * (u @ x)):  # column by column: no n x d temporary
+        wx = sp.csr_array(binned, (self.n, d)).toarray(out=out)
+        totals = np.bincount(labels, weights=u, minlength=d)
+        for c, t in enumerate(self.coef * totals):  # column by column: no n x d temporary
             wx[:, c] += u * t
         return wx
+
+    @cached_property
+    def _binning_indptr(self) -> np.ndarray:
+        # S's indptr in onehot_product's index dtype (a 4-byte label per entry where nnz
+        # fits), cast once: the binned CSR of every product shares it
+        s = self.sparse
+        return s.indptr.astype(np.int32 if s.nnz <= np.iinfo(np.int32).max else np.int64)
 
     def row(self, x: np.ndarray, i: int) -> np.ndarray:
         """Row i of W X for an n x d matrix X, without forming the other rows."""
@@ -246,12 +256,14 @@ class WeightMatrix:
     def diagonal(self) -> np.ndarray:
         return self.sparse.diagonal() + self.vector * (self.coef * self.vector)
 
-    def zero_diagonal(self) -> "WeightMatrix":
+    def zero_diagonal(self, _scale: float = 1.0) -> "WeightMatrix":
         """The same matrix with every diagonal entry exactly zero.
 
         S's diagonal becomes r = 0 - u * (coef * u), which cancels the rank-one
         term's, in one pass over the CSR arrays: the arrays, dtypes included,
         of subtracting diag(S) and then the rank-one diagonal, at one new copy.
+        The private ``_scale`` first takes S as ``S * _scale`` (SciPy's ``S / v``
+        for ``_scale = 1 / v``), scaled in that copy.
         """
         s, u = self.sparse, self.vector
         r = 0.0 - u * (self.coef * u)
@@ -261,12 +273,14 @@ class WeightMatrix:
         del rows
         missing = s.diagonal() == 0.0  # canonical: a stored entry is nonzero
         new = np.flatnonzero(missing)
-        data = np.insert(s.data, at[new], r[new])
+        data = np.insert(s.data, at[new], 0.0)
         indices = np.insert(s.indices, at[new], new.astype(s.indices.dtype, copy=False))
         shift = np.concatenate(([0], np.cumsum(missing)))
-        data[(at + shift[:-1])[~missing]] = r[~missing]
+        data *= _scale
+        data[at + shift[:-1]] = r
         indptr = s.indptr + shift.astype(s.indptr.dtype)
-        # canonical_csr drops the zero r_i (rows whose u_i * coef is 0) in place
+        # canonical_csr drops the zero r_i (rows whose u_i * coef is 0) and the scaled
+        # entries that underflow to 0, in place
         return WeightMatrix(sp.csr_array((data, indices, indptr), s.shape), u, self.coef)
 
     def toarray(self) -> np.ndarray:
@@ -343,10 +357,9 @@ class RunReport:
     detected cycle, None when the budget ran out.  ``energy_trace`` is recorded
     for classification runs only: the initial state's energy, then the energy
     after each sweep or step, so 1 + iterations entries, as a result document
-    stores them.  ``final_state`` is the label vector of label runs (``run_lms``,
-    ``run_gnm_plus_lms``; scores are vol^2-scaled ΔQ, exact on integer weights),
-    the n x d state of network runs and ``run_plms`` and the frame of frame runs
-    (``run_gnm``, ``run_sgnm``).
+    stores them.  ``final_state`` is the length-n label vector of every label
+    run (``run_lms``, ``run_gnm_plus_lms`` and ``run_plms``), the n x d state
+    of network runs and the frame of frame runs (``run_gnm``, ``run_sgnm``).
     """
 
     final_state: np.ndarray

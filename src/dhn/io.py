@@ -1,7 +1,8 @@
 """Edge-list ingestion, run configuration, and result documents.
 
 The edge-list format is line-oriented: ``source target [weight]`` with
-whitespace separation, ``#`` starting a comment line, default weight 1.0.
+whitespace separation, ``#`` starting a comment line, default weight 1.0,
+in UTF-8 whatever the locale.
 Results are stored as JSON documents with a fixed field order and full
 round-trip float precision, so re-scoring a stored assignment reproduces the
 stored numbers.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from array import array
 from collections import defaultdict
 from dataclasses import asdict, dataclass
@@ -88,9 +90,12 @@ def load_edge_list(path, directed_reject: bool = False) -> WeightedGraph:
     records of the same (unordered) pair sum their weights and the matrix is
     symmetrized.  With ``directed_reject`` records are taken as directed
     entries instead and any asymmetry in the resulting matrix is an error.
-    Weights must be finite numbers.
+    Weights must be finite numbers.  The file is read as UTF-8, and a byte
+    that does not decode is an EdgeListParseError naming its line.
     """
-    with open(path) as fh:  # a file that is not plain is parsed again, line by line
+    # undecodable bytes come in as lone surrogates, which the per-line parse reports;
+    # a file that is not plain is parsed again, line by line
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         labels, i, j, data = _parse_plain(fh) or _parse_lines(fh)
     n = len(labels)
     if not directed_reject:  # sum each unordered pair once, then mirror it
@@ -118,14 +123,17 @@ def load_edge_list(path, directed_reject: bool = False) -> WeightedGraph:
 # benchmark's peak by about 0.2 MiB.
 _BLOCK_CHARS = 1 << 11
 
+# the lone surrogates that errors="surrogateescape" puts for the bytes 0x80-0xff
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
 
 def _parse_plain(fh):
     """``(labels, i, j, data)`` of a file of plain ``u v`` lines, else None.
 
-    A block is plain when it holds no ``#`` and its tokens, rejoined as
-    ``u v\\n`` lines with single spaces, give back the block (the file's last
-    line may lack its newline).  Every other input, and the line number of
-    any error, is left to the per-line parse.
+    A block is plain when it holds no ``#`` and no undecoded byte, and its
+    tokens, rejoined as ``u v\\n`` lines with single spaces, give back the
+    block (the file's last line may lack its newline).  Every other input,
+    and the line number of any error, is left to the per-line parse.
     """
     index = defaultdict(count().__next__)  # a new label takes the next index
     ids = array("q")  # endpoint ids, source and target in turn
@@ -134,6 +142,8 @@ def _parse_plain(fh):
         tokens = block.split()
         pairs = len(tokens) // 2
         if "#" in block or 2 * pairs != len(tokens):
+            return None
+        if not block.isascii() and _ESCAPED_BYTE.search(block):
             return None
         lines = "%s %s\n" * pairs % tuple(tokens)
         if lines != block and lines != block + "\n":
@@ -155,6 +165,9 @@ def _parse_lines(fh):
     # cyclic garbage collector and made large loads pay full collections
     sources, targets, weights = [], [], []
     for lineno, raw in enumerate(fh, start=1):
+        if not raw.isascii() and (byte := _ESCAPED_BYTE.search(raw)):
+            code = ord(byte.group()) - 0xDC00
+            raise EdgeListParseError(f"byte 0x{code:02x} is not valid UTF-8", lineno)
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
             continue
@@ -200,7 +213,7 @@ def write_edge_list(graph: WeightedGraph, path) -> None:
     labels = graph.labels()
     upper = sp.triu(graph.weights).tocoo()  # entries (j, k) with j <= k
     order = np.lexsort((upper.row, upper.col))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for j, k, value in zip(upper.row[order], upper.col[order], upper.data[order]):
             fh.write(f"{labels[j]} {labels[k]} {value:.17g}\n")
 

@@ -23,7 +23,6 @@ from .core import (
     DhnNetwork,
     RunReport,
     WeightMatrix,
-    _onehot,
     iterate,
 )
 
@@ -100,11 +99,13 @@ def build_lms_network(graph: WeightedGraph, d: int) -> DhnNetwork:
 
     Weights are Q with the diagonal zeroed (symmetric, nonnegative diagonal),
     bias is zero, held as a read-only n x d view of one 0.0 (strides (0, 0)):
-    d potential clusters.
+    d potential clusters.  Qz's CSR arrays are written in one new copy of the
+    graph's, with the floats and dtypes of ``modularity_matrix(graph).q.zero_diagonal()``.
     """
-    mm = modularity_matrix(graph)
+    vol = _positive_volume(graph)
+    q = WeightMatrix(graph.weights, graph.degrees, -1.0 / vol**2)  # shares the graph's arrays
     bias = np.broadcast_to(0.0, (graph.n, d))
-    return DhnNetwork(mm.q.zero_diagonal(), bias, Activation.CLASSIFICATION)
+    return DhnNetwork(q.zero_diagonal(1.0 / vol), bias, Activation.CLASSIFICATION)
 
 
 class _ClusterDegrees:
@@ -282,32 +283,32 @@ def run_plms(
 ) -> tuple:
     """Parallel Louvain-method search from a seeded random d-cluster state.
 
-    ``run_parallel`` of ``build_lms_network(graph, d)`` from that state, bit for
-    bit, with one Qz X per step formed from the labels (``onehot_product``) that
-    the state's energy and the next argmax both read; revisits are found on the
-    labels.  Parallel classification runs on symmetric weights end in a stable
-    state or a two-cycle; on a two-cycle the higher-modularity cycle state is
-    returned, the other one being the argmax of the last Qz X.
+    ``run_parallel`` of ``build_lms_network(graph, d)`` from that state, held
+    as label vectors: each step writes one Qz X in place from the labels
+    (``onehot_product``), which the state's energy and the next argmax both
+    read.  The labels, ties, iterations and outcome are ``run_parallel``'s;
+    the energies are the same within rounding, summed over the n entries
+    (Qz X)_{i, label_i} only.  Parallel classification runs on symmetric
+    weights end in a stable state or a two-cycle; on a two-cycle the
+    higher-modularity cycle state is returned, the other one being the argmax
+    of the last Qz X.  The report's ``final_state`` is the label vector.
     """
     qz = build_lms_network(graph, d).weights  # the network rejects d < 1
     crit = crit if crit is not None else ConvergenceCriterion()
     labels = np.random.default_rng(seed).integers(0, d, size=graph.n)
-    x = _onehot(labels, d)
-    wx = qz.onehot_product(labels, x)
-    trace = [-float(np.sum(x * wx))]  # -Tr(Xt Qz X)
-    del x  # the labels and wx stand for the start from here on
+    rows = np.arange(graph.n)
+    wx = qz.onehot_product(labels, d)
+    trace = [-float(wx[rows, labels].sum())]  # -Tr(Xt Qz X)
 
     def step(_):  # iterate passes the labels of the state whose Qz X is wx
         labels = np.argmax(wx, axis=1)
-        x = _onehot(labels, d)
-        qz.onehot_product(labels, x, out=wx)
-        trace.append(-float(np.sum(x * wx)))
+        qz.onehot_product(labels, d, out=wx)
+        trace.append(-float(wx[rows, labels].sum()))
         return labels
 
     report = iterate(step, labels, crit, exact=True)
-    labels, report.final_state = report.final_state, _onehot(report.final_state, d)
     report.energy_trace = trace
-    best = Clustering(labels, d)
+    best = Clustering(report.final_state, d)
     if report.cycle_length == 2:
         other = Clustering(np.argmax(wx, axis=1), d)
         if modularity_score(graph, other) > modularity_score(graph, best):

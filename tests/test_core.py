@@ -362,11 +362,18 @@ class TestOperatorWeights:
             operator = operator.zero_diagonal()
         labels = rng.integers(0, d, size=n)
         x = np.eye(d)[labels]
-        want = (operator @ x).tobytes()
-        assert operator.onehot_product(labels, x).tobytes() == want
+        # the CSR product, then u (coef * t) column by column, with t the label totals of u
+        want = operator.sparse @ x
+        for c, t in enumerate(operator.coef * np.bincount(labels, operator.vector, d)):
+            want[:, c] += operator.vector * t
+        want = want.tobytes()
+        assert operator.onehot_product(labels, d).tobytes() == want
         out = rng.uniform(size=(n, d))  # stale values must not leak into the result
-        assert operator.onehot_product(labels, x, out=out) is out
+        assert operator.onehot_product(labels, d, out=out) is out
         assert out.tobytes() == want
+        # integer totals are exact in any order, so then it is the operator's own product
+        integer = dhn.WeightMatrix(operator.sparse, np.round(u), coef)
+        assert integer.onehot_product(labels, d).tobytes() == (integer @ x).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(

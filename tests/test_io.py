@@ -141,6 +141,29 @@ class TestLoadEdgeList:
                 load_edge_list(write(tmp_path, text))
         assert (str(err.value), err.value.line_number) == (f"line 34: {message}", 34)
 
+    @pytest.mark.parametrize("block_chars", [16, 1 << 11])
+    def test_undecodable_byte_reports_line(self, tmp_path, block_chars):
+        # with 16-character blocks the bad line is in block 12, past plain blocks
+        lines = [f"n{k} n{k + 1}".encode() for k in range(40)]
+        path = tmp_path / "g.edges"
+        path.write_bytes(b"\n".join(lines[:33] + [b"a\xe9 b"] + lines[33:]) + b"\n")
+        with mock.patch.object(dhn.io, "_BLOCK_CHARS", block_chars):
+            with pytest.raises(EdgeListParseError) as err:
+                load_edge_list(path)
+        assert (str(err.value), err.value.line_number) == (
+            "line 34: byte 0xe9 is not valid UTF-8",
+            34,
+        )
+
+    def test_utf8_labels(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_bytes("é ü\nü ∂ 2\n# ü\n".encode())
+        g = load_edge_list(path)
+        assert g.labels() == ("é", "ü", "∂")
+        assert g.weights.toarray()[1, 2] == 2.0
+        write_edge_list(g, tmp_path / "copy.edges")
+        assert load_edge_list(tmp_path / "copy.edges").labels() == g.labels()
+
     @staticmethod
     def peak_of_a_load(path):
         """tracemalloc peak of loading ``path``, over the bytes of the loaded W's CSR."""
@@ -621,6 +644,13 @@ class TestClusterCommand:
         )
         assert code == 3
 
+    def test_non_utf8_edge_list_exits_3_naming_the_line(self, tmp_path, capsys):
+        bad, out = tmp_path / "bad.edges", tmp_path / "x.json"
+        bad.write_bytes(b"a b\n\xff\xfe c\n")
+        assert run_cli(["cluster", "--method", "lms", "--input", bad, "--output", out]) == 3
+        assert "line 2: byte 0xff is not valid UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["lms", "cleora", "gnm"])
     @pytest.mark.parametrize("weight", ["nan", "inf"])
     def test_non_finite_weight_exit_code(self, tmp_path, capsys, method, weight):
@@ -866,6 +896,15 @@ class TestWriteResult:
 
 
 class TestEvalCommand:
+    def test_non_utf8_edge_list_exits_3_naming_the_line(self, tmp_path, karate_file, capsys):
+        out = tmp_path / "lms.json"
+        run_cli(["cluster", "--method", "lms", "--input", karate_file, "--output", out])
+        bad = tmp_path / "bad.edges"
+        bad.write_bytes(b"a b\n\xff\xfe c\n")
+        capsys.readouterr()
+        assert run_cli(["eval", "--input", bad, "--assignment", out]) == 3
+        assert "line 2: byte 0xff is not valid UTF-8" in capsys.readouterr().err
+
     def test_round_trip_re_scoring(self, tmp_path, karate_file, capsys):
         out = tmp_path / "lms.json"
         run_cli(["cluster", "--method", "lms", "--input", karate_file, "--output", out])

@@ -6,11 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import dhn
 from dhn.core import ConvergenceCriterion, Outcome
 from dhn.graphs import disjoint_pairs_graph, karate_club, ring_graph
-from dhn.modularity import _lms_sweeps
+from dhn.modularity import DegenerateGraphError, _lms_sweeps
 
 from conftest import planted_graph, random_positive_graph
 
@@ -144,6 +146,37 @@ class TestLmsNetwork:
         for i in range(g.n):
             got, want = dhn.serial_step(net, onehot, i), dhn.serial_step(zeros, onehot, i)
             assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        integer_weights=st.booleans(),
+        scale=st.sampled_from([1.0, 1e-150, 1e150]),
+        tiny=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_operator_is_the_zero_diagonal_of_q(self, n, integer_weights, scale, tiny, seed):
+        # one scaled copy of W's arrays gives the arrays of Q = W / Vol and then its zero
+        # diagonal, dtypes included; ``tiny`` entries underflow to 0 in W / Vol
+        rng = np.random.default_rng(seed)
+        w = rng.integers(-2, 4, size=(n, n)) * (rng.random((n, n)) < 0.5) * scale
+        if not integer_weights:
+            w = w * rng.uniform(0.2, 2.0, size=(n, n))
+        w[rng.random(n) < 0.2] = 0.0  # empty rows and columns
+        w = np.triu(w) + np.triu(w, 1).T
+        if tiny:
+            i, j = rng.integers(0, n, size=2)
+            w[i, j] = w[j, i] = w[i, i] = 5e-324
+        g = dhn.WeightedGraph(w)
+        try:
+            q = dhn.modularity_matrix(g).q
+        except DegenerateGraphError:
+            assume(False)
+        got, want = dhn.build_lms_network(g, 2).weights, q.zero_diagonal()
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got.sparse, name), getattr(want.sparse, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.vector.tobytes() == want.vector.tobytes() and got.coef == want.coef
 
     def test_serial_energy_monotone_from_identity(self):
         rng = np.random.default_rng(3)
@@ -338,8 +371,8 @@ class TestLmsExactOracle:
 
 class TestRunPlms:
     def test_peak_memory_of_a_budgeted_run(self):
-        # the run's history holds label vectors, not n x d one-hot states, no step adds a bias,
-        # and the one-hot start is freed once the run holds its labels and first Qz X
+        # the run holds label vectors and one Qz X written in place: no one-hot state, no
+        # x * wx temporary, and the bias is never added
         g = planted_graph(np.random.default_rng(45), 4500, 16)
         crit = ConvergenceCriterion(max_iters=12)
         dhn.run_plms(g, 16, seed=0, crit=crit)  # first-call allocations are not the run's
@@ -349,14 +382,30 @@ class TestRunPlms:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # with numpy 2.4 and SciPy 1.17 on CPython 3.11 the run peaked at 3,120,339 B. The 3.10
-        # figure, 3,762,728 B, dates from when run_plms passed its start to run_parallel, and
-        # CPython 3.10 kept that argument alive through the run; run_plms now frees the
-        # 576,000 B start itself, and the bound keeps that figure until 3.10 is measured again
-        assert peak <= (3_180_000 if sys.version_info >= (3, 11) else 3_840_000)
+        # with numpy 2.4 and SciPy 1.17 on CPython 3.11 the run peaked at 2,359,479 B, and at
+        # 3,120,339 B with a one-hot table per step. The 3.10 bound is unmeasured: it keeps
+        # its old 660,000 B of headroom over the 3.11 bound
+        assert peak <= (2_407_000 if sys.version_info >= (3, 11) else 3_067_000)
+
+    def test_peak_memory_at_d_128(self):
+        # at large d the run holds Qz and one n x d table, Qz X, plus O(nnz + n) of labels
+        g = planted_graph(np.random.default_rng(7), 4000, 32)
+        d, crit = 128, ConvergenceCriterion(max_iters=12)
+        held = dhn.build_lms_network(g, d).weights.nbytes
+        dhn.run_plms(g, d, seed=0, crit=crit)  # first-call allocations are not the run's
+        tracemalloc.start()
+        try:
+            dhn.run_plms(g, d, seed=1, crit=crit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # with numpy 2.4 and SciPy 1.17 the run peaked at 5,659,423 B: 1,115,432 B of Qz, a
+        # 4,096,000 B table and 448 kB of labels; with a one-hot table per step, 13,506,795 B
+        table = g.n * d * 8
+        assert peak <= held + table + table // 4
 
     def test_peak_memory_of_the_network_build(self):
-        # the zero diagonal is written in one pass: one new copy of Q's CSR arrays
+        # Qz is written in one new copy of the graph's CSR arrays, scaled in place
         g = planted_graph(np.random.default_rng(45), 4500, 16)
         dhn.build_lms_network(g, 16)  # first-call allocations are not the build's
         tracemalloc.start()
@@ -365,9 +414,9 @@ class TestRunPlms:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # with numpy 2.4 and SciPy 1.17 the build peaked at 2,674,717 B; subtracting the two
-        # diagonals one after the other took 3,765,072 B
-        assert peak <= 2_730_000
+        # with numpy 2.4 and SciPy 1.17 the build peaked at 1,503,282 B; with a W / Vol copy
+        # before the zero diagonal's it took 2,672,618 B
+        assert peak <= 1_534_000
 
     def test_outcomes_are_short_cycles(self):
         rng = np.random.default_rng(6)
@@ -383,8 +432,8 @@ class TestRunPlms:
         assert c1 == c2
 
     def test_two_cycle_resolution_takes_better_state(self):
-        # the other cycle state is the argmax of the run's last Qz X, bit for bit one
-        # parallel_step on from the final state
+        # the other cycle state is the argmax of the run's last Qz X, one parallel_step on
+        # from the final labels; integer weights make the two argmaxes equal bit for bit
         cycles = 0
         for g, d in ((karate_club(), 4), (disjoint_pairs_graph(2), 2)):
             net = dhn.build_lms_network(g, d)
@@ -392,8 +441,9 @@ class TestRunPlms:
                 c, report = dhn.run_plms(g, d, seed=seed)
                 if report.cycle_length == 2:
                     cycles += 1
-                    best = dhn.clustering_from_matrix(report.final_state)
-                    other = dhn.clustering_from_matrix(dhn.parallel_step(net, report.final_state))
+                    best = dhn.Clustering(report.final_state, d)
+                    x = dhn.clustering_to_matrix(best)
+                    other = dhn.clustering_from_matrix(dhn.parallel_step(net, x))
                     better = dhn.modularity_score(g, other) > dhn.modularity_score(g, best)
                     assert c == (other if better else best)
         assert cycles >= 16
